@@ -11,31 +11,10 @@
 #include "util/failpoint.h"
 #include "util/flags.h"
 #include "util/logging.h"
-#include "util/rng.h"
 #include "util/table.h"
 #include "util/timer.h"
 
 namespace gorder::bench {
-
-/// Arms fault-injection points from a --failpoints=<spec> flag value.
-/// In a -DGORDER_FAILPOINTS=ON build a bad spec (syntax error, unknown
-/// point name) is fatal; in a normal build the flag itself is fatal, so
-/// a fault-injection experiment can never silently run fault-free.
-inline void ArmFailpointsFlag(const std::string& spec) {
-  if (spec.empty()) return;
-#if defined(GORDER_FAILPOINTS_ENABLED)
-  std::string error;
-  if (!util::ArmFailpointsFromSpec(spec, &error)) {
-    std::fprintf(stderr, "--failpoints: %s\n", error.c_str());
-    std::exit(2);
-  }
-#else
-  std::fprintf(stderr,
-               "--failpoints requires a -DGORDER_FAILPOINTS=ON build; "
-               "this binary has fault injection compiled out\n");
-  std::exit(2);
-#endif
-}
 
 /// Process-wide artifact store, configured once by `--store-dir` at
 /// flag-parse time. Null when the run is storeless (the default); all
@@ -47,42 +26,6 @@ inline store::Store*& ActiveStoreSlot() {
 inline store::Store* ActiveStore() { return ActiveStoreSlot(); }
 inline void SetActiveStore(const std::string& dir) {
   ActiveStoreSlot() = new store::Store(dir);  // lives for the process
-}
-
-/// Deterministic latency-bound calibration kernel: one Sattolo cycle
-/// over 2 MiB of indices (out-sizes L2 on anything this repo targets),
-/// chased for a fixed step count. Best-of-three wall time is the
-/// machine-speed unit recorded in every perf snapshot;
-/// tools/compare_bench.py compares calibration-normalised seconds so a
-/// slower CI host does not read as a regression (and a faster one does
-/// not mask a real one).
-inline double CalibrationSeconds() {
-  const std::uint32_t n = 1u << 19;
-  std::vector<std::uint32_t> order(n);
-  for (std::uint32_t i = 0; i < n; ++i) order[i] = i;
-  Rng rng(12345);
-  for (std::uint32_t i = n - 1; i > 0; --i) {
-    std::uint32_t j = static_cast<std::uint32_t>(rng.Uniform(i));
-    std::swap(order[i], order[j]);
-  }
-  std::vector<std::uint32_t> next(n);
-  for (std::uint32_t i = 0; i < n; ++i) {
-    next[order[i]] = order[(i + 1 == n) ? 0 : i + 1];
-  }
-  double best = 1e100;
-  std::uint32_t sink = 0;
-  for (int rep = 0; rep < 3; ++rep) {
-    std::uint32_t cursor = order[0];
-    Timer timer;
-    for (std::uint32_t step = 0; step < (1u << 21); ++step) {
-      cursor = next[cursor];
-    }
-    best = std::min(best, timer.Seconds());
-    sink ^= cursor;
-  }
-  // Defeat dead-code elimination of the chase loop.
-  if (sink == 0xdeadbeef) std::fprintf(stderr, "calibration sink\n");
-  return best;
 }
 
 /// Options shared by all paper-reproduction binaries.
@@ -179,7 +122,7 @@ struct BenchOptions {
     opt.trace_out = flags.GetString("trace-out", "");
     opt.store_dir = flags.GetString("store-dir", "");
     if (!opt.store_dir.empty()) SetActiveStore(opt.store_dir);
-    ArmFailpointsFlag(flags.GetString("failpoints", ""));
+    util::ArmFailpointsFlag(flags.GetString("failpoints", ""));
     const std::string tier_name = flags.GetString("tier", "std");
     if (tier_name != "std" && tier_name != "huge") {
       std::fprintf(stderr, "error: --tier must be std or huge (got '%s')\n",

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <memory>
 
+#include "graph/edgelist_io.h"
 #include "obs/metrics.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
@@ -359,73 +360,6 @@ IoResult ExternalEdgeSorter::OpenMerge(MergeStream* merge) const {
 
 namespace internal {
 
-namespace {
-
-/// Parses complete lines in data[0, end). Grammar identical to
-/// ReadEdgeList (edgelist_io.cpp): leading blanks, '#'/'%' comments,
-/// two decimal ids, arbitrary trailing junk. On error returns the byte
-/// offset of the offending line and a message; otherwise fills `edges`.
-struct RegionParse {
-  std::size_t error_offset = static_cast<std::size_t>(-1);
-  const char* error_kind = nullptr;
-  bool ok() const { return error_kind == nullptr; }
-};
-
-RegionParse ParseRegion(const char* data, std::size_t end,
-                        std::vector<Edge>* edges, NodeId* max_node,
-                        bool* saw_node) {
-  RegionParse out;
-  std::size_t p = 0;
-  while (p < end) {
-    const std::size_t line_start = p;
-    while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
-    if (p < end && (data[p] == '#' || data[p] == '%' || data[p] == '\n' ||
-                    data[p] == '\0' || data[p] == '\r')) {
-      while (p < end && data[p] != '\n') ++p;
-      if (p < end) ++p;
-      continue;
-    }
-    if (p >= end) break;  // trailing blanks with no newline
-    std::uint64_t ids[2];
-    bool field_ok = true;
-    for (int k = 0; k < 2 && field_ok; ++k) {
-      while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
-      if (p >= end || data[p] < '0' || data[p] > '9') {
-        field_ok = false;
-        break;
-      }
-      std::uint64_t value = 0;
-      while (p < end && data[p] >= '0' && data[p] <= '9') {
-        value = value * 10 + static_cast<std::uint64_t>(data[p] - '0');
-        if (value > 0xFFFFFFFFFULL) value = 0xFFFFFFFFFULL;  // clamp, reject
-        ++p;
-      }
-      ids[k] = value;
-    }
-    if (!field_ok) {
-      out.error_offset = line_start;
-      out.error_kind = "malformed edge line";
-      return out;
-    }
-    if (ids[0] > 0xFFFFFFFEULL || ids[1] > 0xFFFFFFFEULL) {
-      out.error_offset = line_start;
-      out.error_kind = "node id out of 32-bit range";
-      return out;
-    }
-    const NodeId src = static_cast<NodeId>(ids[0]);
-    const NodeId dst = static_cast<NodeId>(ids[1]);
-    edges->push_back({src, dst});
-    const NodeId hi = std::max(src, dst);
-    if (!*saw_node || hi > *max_node) *max_node = hi;
-    *saw_node = true;
-    while (p < end && data[p] != '\n') ++p;
-    if (p < end) ++p;
-  }
-  return out;
-}
-
-}  // namespace
-
 IoResult StreamEdgeListImpl(const std::string& path,
                             IoResult (*emit)(void* ctx, const Edge* edges,
                                              std::size_t count),
@@ -436,10 +370,8 @@ IoResult StreamEdgeListImpl(const std::string& path,
   FilePtr f(std::fopen(path.c_str(), "rb"));
   if (!f) return IoResult::Error("cannot open " + path);
 
-  NodeId local_max = 0;
-  bool local_saw = false;
+  EdgeTextParse parse;
   std::vector<char> buf;
-  std::vector<Edge> edges;
   constexpr std::size_t kMaxLine = 64u << 20;  // pathological-line ceiling
   try {
     GORDER_FAULT_ALLOC(fp_ingest_alloc);
@@ -484,10 +416,8 @@ IoResult StreamEdgeListImpl(const std::string& path,
         continue;
       }
     }
-    edges.clear();
-    RegionParse parse =
-        ParseRegion(buf.data(), region, &edges, &local_max, &local_saw);
-    if (!parse.ok()) {
+    parse.edges.clear();
+    if (!ParseEdgeText(buf.data(), 0, region, &parse)) {
       std::size_t line = line_base;
       for (std::size_t i = 0; i < parse.error_offset; ++i) {
         if (buf[i] == '\n') ++line;
@@ -495,8 +425,11 @@ IoResult StreamEdgeListImpl(const std::string& path,
       return IoResult::Error(path + ":" + std::to_string(line) + ": " +
                              parse.error_kind);
     }
-    if (!edges.empty()) {
-      if (IoResult r = emit(ctx, edges.data(), edges.size()); !r.ok) return r;
+    if (!parse.edges.empty()) {
+      if (IoResult r = emit(ctx, parse.edges.data(), parse.edges.size());
+          !r.ok) {
+        return r;
+      }
     }
     for (std::size_t i = 0; i < region; ++i) {
       if (buf[i] == '\n') ++line_base;
@@ -505,8 +438,8 @@ IoResult StreamEdgeListImpl(const std::string& path,
     if (carry > 0) std::memmove(buf.data(), buf.data() + region, carry);
     if (eof) break;
   }
-  if (max_node != nullptr) *max_node = local_max;
-  if (saw_node != nullptr) *saw_node = local_saw;
+  if (max_node != nullptr) *max_node = parse.max_node;
+  if (saw_node != nullptr) *saw_node = parse.saw_node;
   return IoResult::Ok();
 }
 

@@ -185,9 +185,10 @@ class ExternalEdgeSorter {
 };
 
 /// Streams a whitespace-separated edge list ("src dst" per line, '#'/'%'
-/// comments — the same grammar as ReadEdgeList) through a bounded read
-/// buffer, never materialising the file or the edge list. Calls `sink`
-/// for each parsed chunk. Used by the `--extmem` CLI ingest path.
+/// comments — ReadEdgeList's grammar, parsed by gorder::ParseEdgeText)
+/// through a bounded read buffer, never materialising the file or the
+/// edge list. Calls `sink` for each parsed chunk. Used by the
+/// `--extmem` CLI ingest path.
 class EdgeListStreamer {
  public:
   /// Parses `path`, feeding chunks of edges to `sink(edges, count)`.

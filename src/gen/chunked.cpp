@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "gen/generators.h"
+#include "util/hash.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 
@@ -34,16 +35,12 @@ std::uint64_t ChunkSeed(std::uint64_t seed, std::uint64_t chunk_index) {
 
 std::uint64_t MixParamsSeed(const char* tag, std::uint64_t seed,
                             std::initializer_list<std::uint64_t> params) {
-  std::uint64_t h = 1469598103934665603ULL;  // FNV-1a offset basis
+  std::uint64_t h = util::kSeedMixBasis;
   for (const char* c = tag; *c != '\0'; ++c) {
-    h ^= static_cast<unsigned char>(*c);
-    h *= 1099511628211ULL;
+    h = util::SeedMix64(h, static_cast<unsigned char>(*c));
   }
   for (std::uint64_t p : params) {
-    for (int b = 0; b < 8; ++b) {
-      h ^= (p >> (8 * b)) & 0xFF;
-      h *= 1099511628211ULL;
-    }
+    for (int b = 0; b < 8; ++b) h = util::SeedMix64(h, (p >> (8 * b)) & 0xFF);
   }
   SplitMix64 sm(h ^ seed);
   return sm.Next();
@@ -175,13 +172,6 @@ IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
         internal::RmatChunk(params, seed, chunk, count, out);
       },
       sink);
-}
-
-IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
-                    std::size_t chunk_edges, const EdgeSink& sink) {
-  ChunkedOptions options;
-  options.chunk_edges = chunk_edges;
-  return StreamRmat(params, seed, options, sink);
 }
 
 IoResult StreamErdosRenyi(NodeId n, EdgeId m, std::uint64_t seed,

@@ -62,7 +62,8 @@ struct ChunkedOptions {
 std::uint64_t ChunkSeed(std::uint64_t seed, std::uint64_t chunk_index);
 
 /// Folds a generator tag and parameter words into a stream seed
-/// (FNV-1a over the words, then SplitMix64-finalised).
+/// (util::SeedMix64 over the tag and parameter bytes, then
+/// SplitMix64-finalised).
 std::uint64_t MixParamsSeed(const char* tag, std::uint64_t seed,
                             std::initializer_list<std::uint64_t> params);
 
@@ -72,10 +73,6 @@ std::uint64_t MixParamsSeed(const char* tag, std::uint64_t seed,
 /// PR 9 chunk for chunk.
 IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
                     const ChunkedOptions& options, const EdgeSink& sink);
-
-/// Back-compat wrapper (the PR 9 signature).
-IoResult StreamRmat(const RmatParams& params, std::uint64_t seed,
-                    std::size_t chunk_edges, const EdgeSink& sink);
 
 /// Chunked G(n, m): exactly m uniform non-self-loop edge samples, the
 /// sample count partitioned exactly across chunks (chunk c draws the

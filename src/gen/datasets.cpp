@@ -4,6 +4,7 @@
 
 #include "gen/crawl_order.h"
 #include "gen/generators.h"
+#include "util/hash.h"
 #include "util/logging.h"
 
 namespace gorder::gen {
@@ -11,11 +12,8 @@ namespace gorder::gen {
 namespace {
 
 std::uint64_t HashName(const std::string& name) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (char c : name) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
+  std::uint64_t h = util::kSeedMixBasis;
+  for (char c : name) h = util::SeedMix64(h, static_cast<unsigned char>(c));
   return h;
 }
 

@@ -40,44 +40,41 @@ struct FileCloser {
 };
 using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
 
-constexpr std::size_t kNoError = static_cast<std::size_t>(-1);
+std::size_t LineNumberAt(const std::vector<char>& data, std::size_t offset) {
+  return 1 + static_cast<std::size_t>(
+                 std::count(data.begin(),
+                            data.begin() + static_cast<std::ptrdiff_t>(offset),
+                            '\n'));
+}
 
-/// Parse state for one chunk of the input buffer. Chunks are merged in
-/// file order, so the resulting edge sequence — and therefore the graph —
-/// is independent of the chunk count and thread schedule.
-struct ChunkParse {
-  std::vector<Edge> edges;
-  NodeId max_node = 0;
-  bool saw_node = false;
-  std::size_t error_offset = kNoError;  // byte offset of the offending line
-  const char* error_kind = nullptr;
-};
+}  // namespace
 
-/// Parses edge lines in `data[begin, end)`. `begin` is at a line start and
-/// `end` is at a line boundary (or end of buffer). Accepts the same inputs
-/// as the old sscanf("%u %u") parser: leading blanks, '#'/'%' comments,
-/// and arbitrary trailing junk after the two ids. Lines of any length are
-/// handled — the old fgets-based reader silently split lines longer than
-/// 255 bytes into two parses.
-void ParseChunk(const char* data, std::size_t begin, std::size_t end,
-                ChunkParse* out) {
+bool ParseEdgeText(const char* data, std::size_t begin, std::size_t end,
+                   EdgeTextParse* out) {
+  std::vector<Edge>& edges = out->edges;
+  NodeId max_node = out->max_node;
+  bool saw_node = out->saw_node;
+  auto fail = [&](std::size_t line_start, const char* kind) {
+    out->error_offset = line_start;
+    out->error_kind = kind;
+    return false;
+  };
   std::size_t p = begin;
   while (p < end) {
     const std::size_t line_start = p;
     while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
     if (p < end && (data[p] == '#' || data[p] == '%' || data[p] == '\n' ||
-                    data[p] == '\0')) {
+                    data[p] == '\0' || data[p] == '\r')) {
       while (p < end && data[p] != '\n') ++p;
       if (p < end) ++p;  // consume '\n'
       continue;
     }
+    if (p >= end) break;  // blank tail with no newline
     std::uint64_t ids[2];
-    bool ok = true;
-    for (int k = 0; k < 2 && ok; ++k) {
+    for (int k = 0; k < 2; ++k) {
       while (p < end && (data[p] == ' ' || data[p] == '\t')) ++p;
       if (p >= end || data[p] < '0' || data[p] > '9') {
-        ok = false;
-        break;
+        return fail(line_start, "malformed edge line");
       }
       std::uint64_t value = 0;
       while (p < end && data[p] >= '0' && data[p] <= '9') {
@@ -87,35 +84,22 @@ void ParseChunk(const char* data, std::size_t begin, std::size_t end,
       }
       ids[k] = value;
     }
-    if (!ok) {
-      out->error_offset = line_start;
-      out->error_kind = "malformed edge line";
-      return;
-    }
     if (ids[0] > 0xFFFFFFFEULL || ids[1] > 0xFFFFFFFEULL) {
-      out->error_offset = line_start;
-      out->error_kind = "node id out of 32-bit range";
-      return;
+      return fail(line_start, "node id out of 32-bit range");
     }
-    NodeId src = static_cast<NodeId>(ids[0]);
-    NodeId dst = static_cast<NodeId>(ids[1]);
-    out->edges.push_back({src, dst});
-    NodeId hi = std::max(src, dst);
-    if (!out->saw_node || hi > out->max_node) out->max_node = hi;
-    out->saw_node = true;
+    const NodeId src = static_cast<NodeId>(ids[0]);
+    const NodeId dst = static_cast<NodeId>(ids[1]);
+    edges.push_back({src, dst});
+    const NodeId hi = std::max(src, dst);
+    if (!saw_node || hi > max_node) max_node = hi;
+    saw_node = true;
     while (p < end && data[p] != '\n') ++p;  // ignore the rest of the line
     if (p < end) ++p;
   }
+  out->max_node = max_node;
+  out->saw_node = saw_node;
+  return true;
 }
-
-std::size_t LineNumberAt(const std::vector<char>& data, std::size_t offset) {
-  return 1 + static_cast<std::size_t>(
-                 std::count(data.begin(),
-                            data.begin() + static_cast<std::ptrdiff_t>(offset),
-                            '\n'));
-}
-
-}  // namespace
 
 IoResult ReadEdgeList(const std::string& path, Graph* graph) {
   GORDER_OBS_SPAN(span, "io.read_edgelist");
@@ -148,7 +132,8 @@ IoResult ReadEdgeList(const std::string& path, Graph* graph) {
   f.reset();
 
   // Split into chunks at line boundaries; each chunk parses into a local
-  // buffer, merged in file order below.
+  // buffer, merged in file order below, so the edge sequence (and the
+  // graph) is independent of the chunk count and thread schedule.
   const int threads = NumThreads();
   const std::size_t want_chunks =
       threads == 1 ? 1
@@ -168,15 +153,15 @@ IoResult ReadEdgeList(const std::string& path, Graph* graph) {
   bounds.push_back(data.size());
 
   const std::size_t num_chunks = bounds.size() - 1;
-  std::vector<ChunkParse> parts(num_chunks);
+  std::vector<EdgeTextParse> parts(num_chunks);
   ParallelFor(0, num_chunks, 1, [&](std::size_t b, std::size_t e) {
     for (std::size_t c = b; c < e; ++c) {
-      ParseChunk(data.data(), bounds[c], bounds[c + 1], &parts[c]);
+      ParseEdgeText(data.data(), bounds[c], bounds[c + 1], &parts[c]);
     }
   });
 
-  for (const ChunkParse& part : parts) {
-    if (part.error_offset != kNoError) {
+  for (const EdgeTextParse& part : parts) {
+    if (part.error_kind != nullptr) {
       return IoResult::Error(path + ":" +
                              std::to_string(LineNumberAt(data, part.error_offset)) +
                              ": " + part.error_kind);
@@ -185,7 +170,7 @@ IoResult ReadEdgeList(const std::string& path, Graph* graph) {
 
   std::size_t total = 0;
   NodeId num_nodes = 0;
-  for (const ChunkParse& part : parts) {
+  for (const EdgeTextParse& part : parts) {
     total += part.edges.size();
     if (part.saw_node && part.max_node + 1 > num_nodes) {
       num_nodes = part.max_node + 1;

@@ -58,12 +58,14 @@ const std::string& MethodName(Method method) {
   return (*kNames)[static_cast<int>(method)];
 }
 
-Method MethodFromName(const std::string& name) {
+bool ParseMethod(const std::string& name, Method* method) {
   for (const auto& info : kMethods) {
-    if (name == info.name) return info.method;
+    if (name == info.name) {
+      *method = info.method;
+      return true;
+    }
   }
-  GORDER_CHECK(false && "unknown ordering method name");
-  __builtin_unreachable();
+  return false;
 }
 
 const std::vector<Method>& AllMethods() {

@@ -78,9 +78,10 @@ std::vector<NodeId> ComputeOrdering(const Graph& graph, Method method,
 /// Name <-> enum mapping ("Original", "Random", "MinLA", "MinLogA",
 /// "RCM", "InDegSort", "ChDFS", "SlashBurn", "LDG", "Gorder", plus the
 /// extension names "Metis", "OutDegSort", "HubSort", "HubCluster",
-/// "DBG", "BOBA").
+/// "DBG", "BOBA"). ParseMethod returns false on an unknown name and
+/// leaves `*method` untouched, so user and client input never aborts.
 const std::string& MethodName(Method method);
-Method MethodFromName(const std::string& name);  // aborts on unknown
+bool ParseMethod(const std::string& name, Method* method);
 
 /// The replication's ten methods, in its presentation order (what the
 /// paper-reproduction benches sweep).

@@ -314,14 +314,4 @@ bool DecodeStatsBody(const std::byte* body, std::size_t len,
   return r.exhausted();
 }
 
-std::uint64_t HashBytes64(const void* data, std::size_t len) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 14695981039346656037ull;  // FNV offset basis
-  for (std::size_t i = 0; i < len; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;  // FNV prime
-  }
-  return h;
-}
-
 }  // namespace gorder::serve

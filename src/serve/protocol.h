@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/hash.h"
 #include "util/types.h"
 
 namespace gorder::serve {
@@ -185,14 +186,12 @@ std::string EncodeStatsBody(const std::string& json);
 bool DecodeStatsBody(const std::byte* body, std::size_t len,
                      std::string* json);
 
-/// FNV-1a 64 over raw bytes — the result-vector fingerprint carried in
-/// kBfs/kSp responses so clients can assert bit-identity without
-/// shipping O(n) arrays.
-std::uint64_t HashBytes64(const void* data, std::size_t len);
-
+/// FNV-1a 64 (util::Fnv1a64) over a result vector's bytes — the
+/// fingerprint carried in kBfs/kSp responses so clients can assert
+/// bit-identity without shipping O(n) arrays.
 template <typename T>
 std::uint64_t HashVector64(const std::vector<T>& v) {
-  return HashBytes64(v.data(), v.size() * sizeof(T));
+  return util::Fnv1a64(v.data(), v.size() * sizeof(T));
 }
 
 }  // namespace gorder::serve

@@ -77,18 +77,6 @@ obs::WindowedHistogram& WindowedForOpcode(Opcode op) {
 }
 #endif  // GORDER_OBS_DISABLED
 
-/// Non-aborting ordering-method lookup (order::MethodFromName aborts,
-/// which a server must never do on client input).
-bool FindMethod(const std::string& name, order::Method* out) {
-  for (order::Method m : order::AllMethodsExtended()) {
-    if (order::MethodName(m) == name) {
-      *out = m;
-      return true;
-    }
-  }
-  return false;
-}
-
 }  // namespace
 
 struct Server::Impl {
@@ -267,7 +255,7 @@ struct Server::Impl {
           return bad_request("num_nodes exceeds max_order_nodes");
         }
         order::Method method;
-        if (!FindMethod(req.method, &method)) {
+        if (!order::ParseMethod(req.method, &method)) {
           return bad_request("unknown ordering method '" + req.method + "'");
         }
         for (const Edge& e : req.edges) {

@@ -1,11 +1,32 @@
 #include "util/failpoint.h"
 
+#include <cstdio>
+#include <cstdlib>
+
+namespace gorder::util {
+
+void ArmFailpointsFlag(const std::string& spec) {
+  if (spec.empty()) return;
+#if defined(GORDER_FAILPOINTS_ENABLED)
+  std::string error;
+  if (!ArmFailpointsFromSpec(spec, &error)) {
+    std::fprintf(stderr, "--failpoints: %s\n", error.c_str());
+    std::exit(2);
+  }
+#else
+  std::fprintf(stderr,
+               "--failpoints requires a -DGORDER_FAILPOINTS=ON build; "
+               "this binary has fault injection compiled out\n");
+  std::exit(2);
+#endif
+}
+
+}  // namespace gorder::util
+
 #if defined(GORDER_FAILPOINTS_ENABLED)
 
 #include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <mutex>
 

@@ -39,6 +39,7 @@
 /// show exactly which points fired.
 
 #include <cstddef>
+#include <string>
 
 namespace gorder::util {
 
@@ -52,6 +53,12 @@ enum class FaultKind : int {
   kEnospc,  // write fails with errno ENOSPC
   kOom,     // allocation failure (std::bad_alloc)
 };
+
+/// Arms fault-injection points from a --failpoints=<spec> flag value
+/// (empty = no-op). A bad spec (syntax error, unknown point name) exits
+/// 2, and so does any spec in a build without -DGORDER_FAILPOINTS=ON,
+/// so a fault-injection run can never silently execute fault-free.
+void ArmFailpointsFlag(const std::string& spec);
 
 }  // namespace gorder::util
 

@@ -15,8 +15,13 @@ namespace {
 
 class IoTest : public ::testing::Test {
  protected:
+  // One directory per test: under `ctest -j` every case runs in its own
+  // process, and a shared directory would be removed by another case's
+  // TearDown while this one still uses it.
   void SetUp() override {
-    dir_ = std::filesystem::temp_directory_path() / "gorder_io_test";
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::temp_directory_path() /
+           (std::string("gorder_io_test_") + info->name());
     std::filesystem::create_directories(dir_);
   }
   void TearDown() override { std::filesystem::remove_all(dir_); }

@@ -173,35 +173,50 @@ TEST(ExtCsrTest, LargerShuffledGraphWithTinyBudget) {
 // Text edge-list streaming ingest
 
 TEST(EdgeListStreamTest, MatchesReadEdgeList) {
-  TempFile txt(TempPath("graph.txt"));
-  {
-    std::ofstream out(txt.path);
-    out << "# comment header\n";
-    out << "0 1\n1 2\n% konect comment\n2 0\n";
-    out << "  3\t4  trailing junk\n";
-    out << "4 4\n";  // self-loop
-    out << "1 2\n";  // duplicate
-  }
-  Graph expected;
-  ASSERT_TRUE(ReadEdgeList(txt.path, &expected).ok);
+  struct Case {
+    std::string text;
+    NodeId max_node;
+  };
+  const Case cases[] = {
+      {"# comment header\n"
+       "0 1\n1 2\n% konect comment\n2 0\n"
+       "  3\t4  trailing junk\n"
+       "4 4\n"   // self-loop
+       "1 2\n",  // duplicate
+       4},
+      {"0 1\r\n\r\n1 2\r\n", 2},  // CRLF text with an empty line
+      {"0 1\n\r\n1 2\n", 2},        // LF text with one empty CRLF line
+      {"0 1\n1 2\n   ", 2},         // blank tail, no final newline
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(::testing::PrintToString(c.text));
+    TempFile txt(TempPath("graph.txt"));
+    {
+      std::ofstream out(txt.path, std::ios::binary);
+      out << c.text;
+    }
+    Graph expected;
+    IoResult read = ReadEdgeList(txt.path, &expected);
+    ASSERT_TRUE(read.ok) << read.error;
 
-  std::vector<Edge> streamed;
-  NodeId max_node = 0;
-  bool saw_node = false;
-  IoResult r = extmem::EdgeListStreamer::Stream(
-      txt.path,
-      [&](const Edge* edges, std::size_t count) {
-        streamed.insert(streamed.end(), edges, edges + count);
-        return IoResult::Ok();
-      },
-      &max_node, &saw_node);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_TRUE(saw_node);
-  EXPECT_EQ(max_node, 4u);
-  const Graph via_stream =
-      Graph::FromEdges(max_node + 1, std::move(streamed));
-  EXPECT_EQ(expected.out_offsets(), via_stream.out_offsets());
-  EXPECT_EQ(expected.out_neighbors(), via_stream.out_neighbors());
+    std::vector<Edge> streamed;
+    NodeId max_node = 0;
+    bool saw_node = false;
+    IoResult r = extmem::EdgeListStreamer::Stream(
+        txt.path,
+        [&](const Edge* edges, std::size_t count) {
+          streamed.insert(streamed.end(), edges, edges + count);
+          return IoResult::Ok();
+        },
+        &max_node, &saw_node);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(saw_node);
+    EXPECT_EQ(max_node, c.max_node);
+    const Graph via_stream =
+        Graph::FromEdges(max_node + 1, std::move(streamed));
+    EXPECT_EQ(expected.out_offsets(), via_stream.out_offsets());
+    EXPECT_EQ(expected.out_neighbors(), via_stream.out_neighbors());
+  }
 }
 
 TEST(EdgeListStreamTest, ReportsLineNumberOnError) {
@@ -304,7 +319,7 @@ TEST(StreamRmatTest, DeterministicAndInRange) {
   params.num_edges = 5000;
   auto collect = [&](std::size_t chunk_edges) {
     std::vector<Edge> edges;
-    IoResult r = gen::StreamRmat(params, 42, chunk_edges,
+    IoResult r = gen::StreamRmat(params, 42, {.chunk_edges = chunk_edges},
                                  [&](const Edge* e, std::size_t n) {
                                    edges.insert(edges.end(), e, e + n);
                                    return IoResult::Ok();
@@ -337,7 +352,7 @@ TEST(StreamRmatTest, StreamsIntoExtmemPackBitIdentically) {
   ASSERT_TRUE(builder.Begin(ext_pack.path).ok);
   builder.ReserveNodes(n);
   Graph::Builder mem_builder(n);
-  IoResult r = gen::StreamRmat(params, 11, 600,
+  IoResult r = gen::StreamRmat(params, 11, {.chunk_edges = 600},
                                [&](const Edge* e, std::size_t count) {
                                  for (std::size_t i = 0; i < count; ++i) {
                                    mem_builder.AddEdge(e[i].src, e[i].dst);
@@ -355,7 +370,7 @@ TEST(StreamRmatTest, PropagatesSinkError) {
   params.scale = 8;
   params.num_edges = 10000;
   int calls = 0;
-  IoResult r = gen::StreamRmat(params, 1, 100,
+  IoResult r = gen::StreamRmat(params, 1, {.chunk_edges = 100},
                                [&](const Edge*, std::size_t) {
                                  return ++calls >= 3
                                             ? IoResult::Error("sink full")

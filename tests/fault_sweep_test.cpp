@@ -128,7 +128,7 @@ PipelineOutcome RunPipeline(const std::string& dir) {
   }
 
   // 5. Ordering: compute (pure CPU, no IO), cache, load back.
-  const auto method = order::MethodFromName("Gorder");
+  const auto method = order::Method::kGorder;
   out.perm = order::ComputeOrdering(cold, method, Params());
   const std::uint64_t fp = store::GraphFingerprint(cold);
   out.saved_ordering =
@@ -286,7 +286,7 @@ void CheckArtifacts(const std::string& dir, const PipelineOutcome& baseline) {
     store::Store::CachedOrdering cached;
     ASSERT_TRUE(store.LoadOrdering(store::GraphFingerprint(gen::MakeDataset(
                                        kDataset, kScale, kSeed)),
-                                   order::MethodFromName("Gorder"), Params(),
+                                   order::Method::kGorder, Params(),
                                    static_cast<NodeId>(baseline.perm.size()),
                                    &cached))
         << "partial ordering artifact at final path";

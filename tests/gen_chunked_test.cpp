@@ -27,6 +27,7 @@
 #include "gen/datasets.h"
 #include "gen/generators.h"
 #include "graph/stats.h"
+#include "util/hash.h"
 #include "util/parallel.h"
 
 namespace gorder {
@@ -40,13 +41,11 @@ struct ThreadGuard {
   int saved;
 };
 
-std::uint64_t FnvEdges(const std::vector<Edge>& edges) {
-  std::uint64_t h = 1469598103934665603ULL;
+std::uint64_t EdgeFingerprint(const std::vector<Edge>& edges) {
+  std::uint64_t h = util::kSeedMixBasis;
   for (const Edge& e : edges) {
-    h ^= e.src;
-    h *= 1099511628211ULL;
-    h ^= e.dst;
-    h *= 1099511628211ULL;
+    h = util::SeedMix64(h, e.src);
+    h = util::SeedMix64(h, e.dst);
   }
   return h;
 }
@@ -166,19 +165,6 @@ TEST(ChunkedDifferentialTest, BarabasiAlbertParallelMatchesSerialReference) {
   }
 }
 
-TEST(ChunkedDifferentialTest, BackCompatOverloadMatchesOptionsPath) {
-  const gen::RmatParams p = SmallRmat();
-  gen::ChunkedOptions options;
-  options.chunk_edges = 2048;
-  const Collected a = Drain([&](const gen::EdgeSink& sink) {
-    return gen::StreamRmat(p, 9, options, sink);
-  });
-  const Collected b = Drain([&](const gen::EdgeSink& sink) {
-    return gen::StreamRmat(p, 9, std::size_t{2048}, sink);
-  });
-  EXPECT_EQ(a.edges, b.edges);
-}
-
 TEST(ChunkedDifferentialTest, WindowSizeIsInvisibleInOutput) {
   ThreadGuard guard(4);
   gen::ChunkedOptions small_window;
@@ -212,7 +198,7 @@ TEST(ChunkedGoldenTest, ErdosRenyiStreamFingerprint) {
       return gen::StreamErdosRenyi(500, 20000, 42, options, sink);
     });
     EXPECT_EQ(c.edges.size(), 20000u);
-    EXPECT_EQ(FnvEdges(c.edges), 0xb2643d62a61f76f9ULL)
+    EXPECT_EQ(EdgeFingerprint(c.edges), 0xb2643d62a61f76f9ULL)
         << threads << " threads";
   }
 }
@@ -225,7 +211,7 @@ TEST(ChunkedGoldenTest, BarabasiAlbertStreamFingerprint) {
     const Collected c = Drain([&](const gen::EdgeSink& sink) {
       return gen::StreamBarabasiAlbert(5000, 4, 42, options, sink);
     });
-    EXPECT_EQ(FnvEdges(c.edges), 0x6a6235d5ac060c44ULL)
+    EXPECT_EQ(EdgeFingerprint(c.edges), 0x6a6235d5ac060c44ULL)
         << threads << " threads";
   }
 }
@@ -239,7 +225,7 @@ TEST(ChunkedGoldenTest, RmatStreamFingerprint) {
     const Collected c = Drain([&](const gen::EdgeSink& sink) {
       return gen::StreamRmat(p, 42, options, sink);
     });
-    EXPECT_EQ(FnvEdges(c.edges), 0xcc3c209a28e29127ULL)
+    EXPECT_EQ(EdgeFingerprint(c.edges), 0xcc3c209a28e29127ULL)
         << threads << " threads";
   }
 }
@@ -251,7 +237,7 @@ TEST(ChunkedGoldenTest, PlantedPartitionDatasetFingerprint) {
   for (int threads : {1, 2, 8}) {
     ThreadGuard guard(threads);
     Graph g = gen::MakeDataset("pokec", 0.05, 42);
-    EXPECT_EQ(FnvEdges(g.ToEdges()), 0x02f7d122cf003fdaULL)
+    EXPECT_EQ(EdgeFingerprint(g.ToEdges()), 0x02f7d122cf003fdaULL)
         << threads << " threads";
   }
 }
@@ -262,7 +248,7 @@ TEST(ChunkedGoldenTest, BarabasiAlbertInMemoryFingerprint) {
   // up as a silently different benchmark graph.
   Rng rng(42);
   Graph g = gen::BarabasiAlbert(600, 4, rng);
-  EXPECT_EQ(FnvEdges(g.ToEdges()), 0x243a76b6a64175c9ULL);
+  EXPECT_EQ(EdgeFingerprint(g.ToEdges()), 0x243a76b6a64175c9ULL);
 }
 
 // ---------------------------------------------------------------------
@@ -479,10 +465,10 @@ TEST(HugeDatasetTest, StreamDatasetDeterministicAcrossThreads) {
     EXPECT_GT(nodes, 0u);
     EXPECT_FALSE(c.edges.empty());
     if (threads == 1) {
-      first_hash = FnvEdges(c.edges);
+      first_hash = EdgeFingerprint(c.edges);
       first_nodes = nodes;
     } else {
-      EXPECT_EQ(FnvEdges(c.edges), first_hash);
+      EXPECT_EQ(EdgeFingerprint(c.edges), first_hash);
       EXPECT_EQ(nodes, first_nodes);
     }
   }

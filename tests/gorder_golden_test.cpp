@@ -1,15 +1,20 @@
 // Golden-value pins for the Gorder greedy on the seed datasets: the
-// exact objective score F and an FNV-1a fingerprint of the permutation.
+// exact objective score F and a fingerprint of the permutation.
 // Every cache-layout refactor of the kernel (packed heap slots,
 // sentinel bucket lists, lazy occupancy clearing, prefetch batching)
 // promises *bit-identical* output — these pins turn that promise into a
 // failing test instead of a silent quality drift.
 //
 // If a change legitimately alters the ordering (a new tie-break rule,
-// say), re-derive the constants with
-//   ./build/bench/perf_ordering --methods=Gorder \
-//       --datasets=epinion,wiki,flickr --scale=... --csv
-// and say so loudly in the commit message.
+// say), re-derive a row with gorder_cli and say so loudly in the commit
+// message:
+//   gorder_cli --cmd=gen --dataset=<name> --scale=<s> --out=g.gpack
+//   gorder_cli --cmd=order --in=g.gpack --out=o.gpack --map=perm.txt
+//   gorder_cli --cmd=score --in=o.gpack
+// (add --lazy to the order step for lazy rows). The score step prints
+// F, and PermFingerprint over the map's new_id column gives the
+// fingerprint. Use .gpack, not .txt: a text edge list drops trailing
+// isolated nodes. table2_ordering_time prints F for every method.
 
 #include <gtest/gtest.h>
 
@@ -20,18 +25,15 @@
 #include "graph/graph.h"
 #include "graph/stats.h"
 #include "order/gorder.h"
+#include "util/hash.h"
 
 namespace gorder::order {
 namespace {
 
-// Same fingerprint as bench/perf_ordering.cpp: FNV-1a over the
-// permutation words.
+/// util::SeedMix64 chained over the permutation words.
 std::uint64_t PermFingerprint(const std::vector<NodeId>& perm) {
-  std::uint64_t h = 1469598103934665603ULL;
-  for (NodeId v : perm) {
-    h ^= v;
-    h *= 1099511628211ULL;
-  }
+  std::uint64_t h = util::kSeedMixBasis;
+  for (NodeId v : perm) h = util::SeedMix64(h, v);
   return h;
 }
 
@@ -40,11 +42,13 @@ struct Golden {
   double scale;
   bool lazy;
   std::uint64_t score;  // F(pi, w=5)
-  std::uint64_t fnv;
+  std::uint64_t fingerprint;
 };
 
 // Derived from the pre-refactor greedy (seed 42, window 5) and carried
-// unchanged through the packed-slot kernel.
+// unchanged through the packed-slot kernel. The rows at scales 0.2 and
+// 0.5 were first recorded by the retired construction-time trajectory
+// before and after that refactor (EXPERIMENTS.md history table).
 constexpr Golden kGoldens[] = {
     {"epinion", 0.10, false, 5477, 0xd86e7b3375554f3dULL},
     {"wiki", 0.10, false, 33220, 0x4b0629fdf7e37b9bULL},
@@ -52,6 +56,16 @@ constexpr Golden kGoldens[] = {
     {"epinion", 0.10, true, 5492, 0x7627bcbd6f086d59ULL},
     {"wiki", 0.10, true, 33349, 0xa5f8b1d0622feb67ULL},
     {"flickr", 0.15, true, 22202, 0x84f6650a1cbd6305ULL},
+    {"epinion", 0.20, false, 10313, 0x67abfc5491ebb415ULL},
+    {"pokec", 0.20, false, 27688, 0x9140987e7eaa4b37ULL},
+    {"pokec", 0.50, false, 72698, 0x2a919c06fab70e11ULL},
+    {"flickr", 0.50, false, 63058, 0xb25cfc1ca56320afULL},
+    {"wiki", 0.50, false, 126743, 0xc6090f86d29b9923ULL},
+    {"sdarc", 0.50, false, 198855, 0xa15f73a1d40085c1ULL},
+    {"pokec", 0.50, true, 72777, 0xa70162d290083bffULL},
+    {"flickr", 0.50, true, 62509, 0x3525a49f423eb557ULL},
+    {"wiki", 0.50, true, 125614, 0xc22e45b0581be975ULL},
+    {"sdarc", 0.50, true, 197001, 0x807ac0a2f9b340f1ULL},
 };
 
 TEST(GorderGoldenTest, ScoresAndFingerprintsMatchPreRefactorKernel) {
@@ -63,7 +77,7 @@ TEST(GorderGoldenTest, ScoresAndFingerprintsMatchPreRefactorKernel) {
     CheckPermutation(perm, graph.NumNodes());
     EXPECT_EQ(GorderScoreUnderPermutation(graph, perm, 5), g.score)
         << g.dataset << "@" << g.scale << (g.lazy ? " lazy" : " eager");
-    EXPECT_EQ(PermFingerprint(perm), g.fnv)
+    EXPECT_EQ(PermFingerprint(perm), g.fingerprint)
         << g.dataset << "@" << g.scale << (g.lazy ? " lazy" : " eager");
   }
 }

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <utility>
 
 #include "gen/datasets.h"
 #include "gen/generators.h"
@@ -110,9 +111,13 @@ TEST(MetisLikeTest, LeafSizeControlsGranularity) {
 TEST(RegistryExtensionTest, ExtendedMethodsResolve) {
   EXPECT_EQ(AllMethodsExtended().size(), 16u);
   EXPECT_EQ(AllMethods().size(), 10u);
-  EXPECT_EQ(MethodFromName("Metis"), Method::kMetis);
-  EXPECT_EQ(MethodFromName("DBG"), Method::kDbg);
-  EXPECT_EQ(MethodFromName("BOBA"), Method::kBoba);
+  for (auto [name, method] : {std::pair{"Metis", Method::kMetis},
+                               std::pair{"DBG", Method::kDbg},
+                               std::pair{"BOBA", Method::kBoba}}) {
+    Method parsed = Method::kOriginal;
+    EXPECT_TRUE(ParseMethod(name, &parsed)) << name;
+    EXPECT_EQ(parsed, method) << name;
+  }
   EXPECT_EQ(MethodName(Method::kHubSort), "HubSort");
   // Every extended method yields a valid permutation.
   Graph g = gen::MakeDataset("epinion", 0.05);

@@ -76,11 +76,21 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RegistryTest, NamesRoundTrip) {
   for (Method m : AllMethods()) {
-    EXPECT_EQ(MethodFromName(MethodName(m)), m);
+    Method parsed = Method::kOriginal;
+    EXPECT_TRUE(ParseMethod(MethodName(m), &parsed));
+    EXPECT_EQ(parsed, m);
   }
   EXPECT_EQ(AllMethods().size(), 10u);
   EXPECT_EQ(MethodName(Method::kGorder), "Gorder");
   EXPECT_EQ(MethodName(Method::kInDegSort), "InDegSort");
+}
+
+TEST(RegistryTest, UnknownNameIsRejectedWithoutAborting) {
+  Method m = Method::kRandom;
+  EXPECT_FALSE(ParseMethod("Gordr", &m));
+  EXPECT_FALSE(ParseMethod("gorder", &m));  // names are case-sensitive
+  EXPECT_FALSE(ParseMethod("", &m));
+  EXPECT_EQ(m, Method::kRandom);  // untouched on a miss
 }
 
 // ---- Individual method properties ----

@@ -187,7 +187,7 @@ void ClientThread(const util::NetAddress& addr, int index,
       return;
     }
   }
-  *fingerprint = HashBytes64(blob.data(), blob.size());
+  *fingerprint = util::Fnv1a64(blob.data(), blob.size());
 }
 
 /// Runs the full differential battery at `serve_threads`; returns the

@@ -504,11 +504,11 @@ TEST(ServeProtocol, TwoFramesBackToBackDecodeIndependently) {
 // ---- Fingerprint hash golden values (FNV-1a 64) ----
 
 TEST(ServeProtocol, HashBytes64Golden) {
-  EXPECT_EQ(HashBytes64(nullptr, 0), 0xcbf29ce484222325ull);  // offset basis
-  EXPECT_EQ(HashBytes64("a", 1), 0xaf63dc4c8601ec8cull);
-  EXPECT_EQ(HashBytes64("foobar", 6), 0x85944171f73967e8ull);
+  EXPECT_EQ(util::Fnv1a64(nullptr, 0), 0xcbf29ce484222325ull);  // offset basis
+  EXPECT_EQ(util::Fnv1a64("a", 1), 0xaf63dc4c8601ec8cull);
+  EXPECT_EQ(util::Fnv1a64("foobar", 6), 0x85944171f73967e8ull);
   std::vector<std::uint32_t> v = {1, 2, 3};
-  EXPECT_EQ(HashVector64(v), HashBytes64(v.data(), 12));
+  EXPECT_EQ(HashVector64(v), util::Fnv1a64(v.data(), 12));
   EXPECT_NE(HashVector64(v), HashVector64(std::vector<std::uint32_t>{1, 2}));
 }
 

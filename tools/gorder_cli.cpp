@@ -53,7 +53,6 @@
 // --trace-out=<f> (Chrome trace for Perfetto).
 
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/gorder_lib.h"
@@ -61,26 +60,6 @@
 
 namespace gorder {
 namespace {
-
-/// --failpoints=<spec> arms fault-injection points (DESIGN.md §14). A
-/// bad spec is fatal, and so is passing the flag to a binary built
-/// without -DGORDER_FAILPOINTS=ON — a fault-injection run must never
-/// silently execute fault-free.
-void ArmFailpointsFlag(const std::string& spec) {
-  if (spec.empty()) return;
-#if defined(GORDER_FAILPOINTS_ENABLED)
-  std::string error;
-  if (!util::ArmFailpointsFromSpec(spec, &error)) {
-    std::fprintf(stderr, "--failpoints: %s\n", error.c_str());
-    std::exit(2);
-  }
-#else
-  std::fprintf(stderr,
-               "--failpoints requires a -DGORDER_FAILPOINTS=ON build; "
-               "this binary has fault injection compiled out\n");
-  std::exit(2);
-#endif
-}
 
 bool EndsWith(const std::string& s, const char* suffix) {
   std::size_t n = std::strlen(suffix);
@@ -189,6 +168,20 @@ int WritePermMap(const std::string& map_path, const std::vector<NodeId>& perm) {
   return 0;
 }
 
+/// Validated --method lookup: prints the registry on a miss and returns
+/// false (callers exit 2, usage error) instead of aborting.
+bool RequireMethod(const Flags& flags, order::Method* method) {
+  const std::string name = flags.GetString("method", "Gorder");
+  if (order::ParseMethod(name, method)) return true;
+  std::string names;
+  for (order::Method m : order::AllMethodsExtended()) {
+    names += (names.empty() ? "" : ", ") + order::MethodName(m);
+  }
+  std::fprintf(stderr, "error: unknown method '%s'\nvalid names: %s\n",
+               name.c_str(), names.c_str());
+  return false;
+}
+
 order::OrderingParams OrderingParamsFromFlags(const Flags& flags) {
   order::OrderingParams params;
   params.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
@@ -201,6 +194,8 @@ order::OrderingParams OrderingParamsFromFlags(const Flags& flags) {
 /// mapped pack. Emits the permutation (--map); relabeling would pull the
 /// whole graph into memory, so it is deliberately not offered here.
 int CmdOrderExtmem(const Flags& flags) {
+  order::Method method;
+  if (!RequireMethod(flags, &method)) return 2;
   const std::string in = flags.GetString("in", "");
   if (!EndsWith(in, ".gpack")) {
     std::fprintf(stderr,
@@ -209,8 +204,6 @@ int CmdOrderExtmem(const Flags& flags) {
     return 2;
   }
   const order::OrderingParams params = OrderingParamsFromFlags(flags);
-  const auto method =
-      order::MethodFromName(flags.GetString("method", "Gorder"));
   Timer timer;
   std::vector<NodeId> perm;
   extmem::SemiExternalInfo info;
@@ -236,10 +229,11 @@ int CmdOrderExtmem(const Flags& flags) {
 
 int CmdOrder(const Flags& flags) {
   if (flags.GetBool("extmem", false)) return CmdOrderExtmem(flags);
+  order::Method method;
+  if (!RequireMethod(flags, &method)) return 2;
   Graph g;
   if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
   order::OrderingParams params = OrderingParamsFromFlags(flags);
-  auto method = order::MethodFromName(flags.GetString("method", "Gorder"));
   const bool verbose = flags.GetBool("verbose", false);
   // Ordering and relabel wall times are reported separately: the total is
   // the pipeline cost that must be amortised by downstream speedups
@@ -401,8 +395,8 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const extmem::ExtmemOptions options = ExtmemFromFlags(flags);
   // Chunk size is fixed by the generator contract (determinism depends on
-  // it), so both modes use the same value regardless of budget.
-  const std::size_t chunk_edges = 1u << 18;
+  // it), so both modes use the default regardless of budget.
+  const gen::ChunkedOptions chunked;
   const auto n = static_cast<NodeId>(1u << rp.scale);
   IoResult r;
   if (flags.GetBool("extmem", false)) {
@@ -410,7 +404,7 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
     r = builder.Begin(out);
     if (r.ok) {
       builder.ReserveNodes(n);
-      r = gen::StreamRmat(rp, seed, chunk_edges,
+      r = gen::StreamRmat(rp, seed, chunked,
                           [&](const Edge* edges, std::size_t count) {
                             return builder.AddBatch(edges, count);
                           });
@@ -420,7 +414,7 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
   } else {
     Graph::Builder b(n);
     b.ReserveEdges(static_cast<std::size_t>(rp.num_edges));
-    r = gen::StreamRmat(rp, seed, chunk_edges,
+    r = gen::StreamRmat(rp, seed, chunked,
                         [&](const Edge* edges, std::size_t count) {
                           for (std::size_t i = 0; i < count; ++i) {
                             b.AddEdge(edges[i].src, edges[i].dst);
@@ -641,7 +635,7 @@ int Run(int argc, char** argv) {
     SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
   }
   if (flags.GetBool("quiet", false)) SetLogLevel(LogLevel::kQuiet);
-  ArmFailpointsFlag(flags.GetString("failpoints", ""));
+  util::ArmFailpointsFlag(flags.GetString("failpoints", ""));
   obs::RunOptions run;
   run.bench = "gorder_cli";
   run.flags = flags.Raw();

@@ -36,7 +36,6 @@
 
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 
 #include "core/gorder_lib.h"
@@ -44,22 +43,6 @@
 
 namespace gorder {
 namespace {
-
-void ArmFailpointsFlag(const std::string& spec) {
-  if (spec.empty()) return;
-#if defined(GORDER_FAILPOINTS_ENABLED)
-  std::string error;
-  if (!util::ArmFailpointsFromSpec(spec, &error)) {
-    std::fprintf(stderr, "--failpoints: %s\n", error.c_str());
-    std::exit(2);
-  }
-#else
-  std::fprintf(stderr,
-               "--failpoints requires a -DGORDER_FAILPOINTS=ON build; "
-               "this binary has fault injection compiled out\n");
-  std::exit(2);
-#endif
-}
 
 bool EndsWith(const std::string& s, const char* suffix) {
   std::size_t n = std::strlen(suffix);
@@ -92,7 +75,7 @@ int Run(int argc, char** argv) {
     SetNumThreads(static_cast<int>(flags.GetInt("threads", 0)));
   }
   if (flags.GetBool("quiet", false)) SetLogLevel(LogLevel::kQuiet);
-  ArmFailpointsFlag(flags.GetString("failpoints", ""));
+  util::ArmFailpointsFlag(flags.GetString("failpoints", ""));
   obs::RunOptions run;
   run.bench = "gorderd";
   run.flags = flags.Raw();

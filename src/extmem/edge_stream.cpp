@@ -1,12 +1,14 @@
 #include "extmem/edge_stream.h"
 
 #include <algorithm>
+#include <bit>
 #include <cstring>
 #include <filesystem>
 #include <memory>
 
 #include "graph/edgelist_io.h"
 #include "obs/metrics.h"
+#include "obs/trace.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
 
@@ -38,19 +40,54 @@ inline bool EdgeLess(const Edge& a, const Edge& b) {
   return a.src != b.src ? a.src < b.src : a.dst < b.dst;
 }
 
-/// Streams `count` edges to `f` in large fwrite chunks.
-bool WriteEdgesBuffered(std::FILE* f, const Edge* edges, std::size_t count) {
-  constexpr std::size_t kChunk = (8u << 20) / sizeof(Edge);
-  while (count > 0) {
-    const std::size_t step = std::min(count, kChunk);
-    if (GORDER_FAULT_IO(fp_run_write, step,
-                        std::fwrite(edges, sizeof(Edge), step, f)) != step) {
-      return false;
+/// Widest radix-sort digit: a pass's 2^12 counters (32 KB) fit in L1.
+constexpr int kMaxDigitBits = 12;
+
+/// LSD radix sort of `count` edges by (src, dst), moving them between
+/// `edges` and `scratch` (each `count` long); returns whichever holds the
+/// result. The key packs src above dst in just the bits the largest id
+/// needs and cuts it into equal digits of at most kMaxDigitBits, so
+/// small ids take few passes, and a digit every edge shares takes none.
+Edge* RadixSortEdges(Edge* edges, Edge* scratch, std::size_t count) {
+  NodeId ids = 0;
+  for (std::size_t i = 0; i < count; ++i) ids |= edges[i].src | edges[i].dst;
+  const int id_bits = std::bit_width(ids);
+  if (id_bits == 0) return edges;  // empty, or every edge is (0, 0)
+  const int key_bits = 2 * id_bits;
+  const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
+  const int digit_bits = (key_bits + passes - 1) / passes;
+  const std::size_t radix = std::size_t{1} << digit_bits;
+  const std::uint64_t mask = radix - 1;
+  auto key = [id_bits](const Edge& e) {
+    return (std::uint64_t{e.src} << id_bits) | e.dst;
+  };
+  // Every pass's digit histogram in one read of the input.
+  std::vector<std::size_t> counts(static_cast<std::size_t>(passes) * radix);
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t k = key(edges[i]);
+    for (int p = 0; p < passes; ++p) {
+      ++counts[p * radix + ((k >> (p * digit_bits)) & mask)];
     }
-    edges += step;
-    count -= step;
   }
-  return true;
+  Edge* from = edges;
+  Edge* to = scratch;
+  for (int p = 0; p < passes; ++p) {
+    std::size_t* next = counts.data() + p * radix;
+    const int shift = p * digit_bits;
+    if (next[(key(from[0]) >> shift) & mask] == count) continue;
+    std::size_t sum = 0;
+    for (std::size_t d = 0; d < radix; ++d) {
+      const std::size_t c = next[d];
+      next[d] = sum;
+      sum += c;
+    }
+    for (std::size_t i = 0; i < count; ++i) {
+      const Edge e = from[i];
+      to[next[(key(e) >> shift) & mask]++] = e;
+    }
+    std::swap(from, to);
+  }
+  return from;
 }
 
 }  // namespace
@@ -72,31 +109,8 @@ IoResult RunSet::Create(const std::string& prefix) {
   return IoResult::Ok();
 }
 
-IoResult RunSet::WriteRun(const Edge* edges, std::size_t count) {
-  const std::string path =
-      dir_ + "/run-" + std::to_string(next_id_++) + ".edges";
-  if (GORDER_FAILPOINT(fp_run_open) != util::FaultKind::kNone) {
-    return IoResult::Error("cannot open run file " + path);
-  }
-  FilePtr f(std::fopen(path.c_str(), "wb"));
-  if (!f) return IoResult::Error("cannot open run file " + path);
-  if (!WriteEdgesBuffered(f.get(), edges, count)) {
-    f.reset();
-    std::error_code ec;
-    std::filesystem::remove(path, ec);
-    return IoResult::Error("short write to run file " + path);
-  }
-  // Scratch runs are intentionally not fsynced: they never outlive the
-  // build, and a crash aborts the whole build anyway.
-  runs_.push_back({path, count});
-  runs_written_ += 1;
-  bytes_written_ += count * sizeof(Edge);
-  GORDER_OBS_INC(c_runs_written);
-  GORDER_OBS_ADD(c_run_bytes, count * sizeof(Edge));
-  return IoResult::Ok();
-}
-
-IoResult RunSet::WriteMerged(MergeStream* merge, std::size_t buffer_edges) {
+template <typename Fill>
+IoResult RunSet::AppendRun(std::size_t buffer_edges, Fill&& fill) {
   const std::string path =
       dir_ + "/run-" + std::to_string(next_id_++) + ".edges";
   if (GORDER_FAILPOINT(fp_run_open) != util::FaultKind::kNone) {
@@ -110,29 +124,58 @@ IoResult RunSet::WriteMerged(MergeStream* merge, std::size_t buffer_edges) {
     std::filesystem::remove(path, ec);
     return r;
   };
-  std::vector<Edge> buf;
-  buf.reserve(std::max<std::size_t>(buffer_edges, 1));
+  std::vector<Edge> buf(std::max<std::size_t>(buffer_edges, 1));
   std::uint64_t total = 0;
   while (true) {
-    Edge e;
-    bool eof = false;
-    if (IoResult r = merge->Next(&e, &eof); !r.ok) return fail(r);
-    if (!eof) buf.push_back(e);
-    if (buf.size() >= buf.capacity() || (eof && !buf.empty())) {
-      if (!WriteEdgesBuffered(f.get(), buf.data(), buf.size())) {
-        return fail(IoResult::Error("short write to run file " + path));
-      }
-      total += buf.size();
-      buf.clear();
+    std::size_t filled = 0;
+    if (IoResult r = fill(buf.data(), buf.size(), &filled); !r.ok) {
+      return fail(r);
     }
-    if (eof) break;
+    if (filled == 0) break;
+    if (GORDER_FAULT_IO(fp_run_write, filled,
+                        std::fwrite(buf.data(), sizeof(Edge), filled,
+                                    f.get())) != filled) {
+      return fail(IoResult::Error("short write to run file " + path));
+    }
+    total += filled;
   }
+  // Scratch runs are intentionally not fsynced: they never outlive the
+  // build, and a crash aborts the whole build anyway.
   runs_.push_back({path, total});
   runs_written_ += 1;
   bytes_written_ += total * sizeof(Edge);
   GORDER_OBS_INC(c_runs_written);
   GORDER_OBS_ADD(c_run_bytes, total * sizeof(Edge));
   return IoResult::Ok();
+}
+
+IoResult RunSet::WriteMerged(const Edge* a, std::size_t a_count,
+                             const Edge* b, std::size_t b_count,
+                             std::size_t buffer_edges) {
+  std::size_t i = 0, j = 0;
+  return AppendRun(buffer_edges, [&](Edge* out, std::size_t capacity,
+                                     std::size_t* filled) {
+    std::size_t k = 0;
+    while (k < capacity && i < a_count && j < b_count) {
+      out[k++] = EdgeLess(b[j], a[i]) ? b[j++] : a[i++];
+    }
+    while (k < capacity && i < a_count) out[k++] = a[i++];
+    while (k < capacity && j < b_count) out[k++] = b[j++];
+    *filled = k;
+    return IoResult::Ok();
+  });
+}
+
+IoResult RunSet::WriteMerged(MergeStream* merge, std::size_t buffer_edges) {
+  return AppendRun(buffer_edges, [merge](Edge* out, std::size_t capacity,
+                                         std::size_t* filled) {
+    for (*filled = 0; *filled < capacity; ++*filled) {
+      bool eof = false;
+      if (IoResult r = merge->Next(&out[*filled], &eof); !r.ok) return r;
+      if (eof) break;
+    }
+    return IoResult::Ok();
+  });
 }
 
 std::uint64_t RunSet::TotalEdges() const {
@@ -304,8 +347,20 @@ IoResult ExternalEdgeSorter::Create(const std::string& prefix) {
 
 IoResult ExternalEdgeSorter::SpillBuffer() {
   if (buffer_.empty()) return IoResult::Ok();
-  std::sort(buffer_.begin(), buffer_.end(), EdgeLess);
-  IoResult r = runs_.WriteRun(buffer_.data(), buffer_.size());
+  GORDER_OBS_SPAN(span, "extmem.spill");
+  // Each half sorts against one scratch of half the buffer, and the
+  // halves merge on their way into the run: the spill holds 1.5x the
+  // buffer, what the buffer's last doubling already held.
+  Edge* a = buffer_.data();
+  const std::size_t a_count = buffer_.size() / 2;
+  const std::size_t b_count = buffer_.size() - a_count;
+  std::vector<Edge> scratch(b_count);
+  if (const Edge* sorted = RadixSortEdges(a, scratch.data(), a_count);
+      sorted != a) {
+    std::copy(sorted, sorted + a_count, a);
+  }
+  const Edge* b = RadixSortEdges(a + a_count, scratch.data(), b_count);
+  IoResult r = runs_.WriteMerged(a, a_count, b, b_count, merge_buffer_edges_);
   buffer_.clear();
   return r;
 }

@@ -72,8 +72,11 @@ class RunSet {
   /// name is derived from (typically the target pack path).
   IoResult Create(const std::string& prefix);
 
-  /// Writes `count` sorted edges as one run file.
-  IoResult WriteRun(const Edge* edges, std::size_t count);
+  /// Writes the merge of two sorted arrays as one run file, through a
+  /// write buffer of `buffer_edges` — the spill of a run buffer whose
+  /// halves were sorted apart.
+  IoResult WriteMerged(const Edge* a, std::size_t a_count, const Edge* b,
+                       std::size_t b_count, std::size_t buffer_edges);
 
   /// Drains `merge` into a new run file through a bounded buffer —
   /// the compaction step when the run count exceeds the merge fan-in.
@@ -99,6 +102,13 @@ class RunSet {
     std::string path;
     std::uint64_t edges = 0;
   };
+  /// The one run writer: opens the next run file, lets
+  /// `fill(out, capacity, &count)` put the next edges of the run into a
+  /// buffer of `buffer_edges` until it puts none, writes each batch, and
+  /// registers the run. On any error it removes the file instead.
+  template <typename Fill>
+  IoResult AppendRun(std::size_t buffer_edges, Fill&& fill);
+
   std::string dir_;
   std::vector<Run> runs_;
   std::uint64_t next_id_ = 0;
@@ -145,7 +155,9 @@ class MergeStream {
 /// runs; Finish() flushes and compacts to at most `merge_fanin` runs;
 /// afterwards OpenMerge() replays the sorted, deduplicated stream (and
 /// can be called repeatedly — the degree-counting and neighbor-writing
-/// passes of the CSR build each replay it once).
+/// passes of the CSR build each replay it once). A spill radix-sorts
+/// each half of the buffer against one half-size scratch and merges the
+/// halves on their way to disk, so it holds at most 1.5x the buffer.
 ///
 /// Self-loops are *kept* here (they sort like any edge); the CSR builder
 /// strips them at its level, mirroring Graph::Builder.

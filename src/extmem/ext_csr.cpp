@@ -141,6 +141,7 @@ IoResult ExtPackBuilder::FinishImpl() {
   }
   std::uint64_t m = 0;
   {
+    GORDER_OBS_SPAN(replay_span, "extmem.degree_replay");
     MergeStream merge;
     if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return r;
     while (true) {
@@ -183,45 +184,39 @@ IoResult ExtPackBuilder::FinishImpl() {
   }
 
   std::uint32_t crcs[4] = {};
-  const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
-  crcs[0] = Crc32(out_off.data(), static_cast<std::size_t>(off_bytes));
-  crcs[2] = Crc32(in_off.data(), static_cast<std::size_t>(off_bytes));
-  if (IoResult r = writer.WriteAt(layout.out_offsets, out_off.data(),
-                                  static_cast<std::size_t>(off_bytes));
-      !r.ok) {
-    return fail(r);
-  }
-  if (IoResult r = writer.WriteAt(layout.in_offsets, in_off.data(),
-                                  static_cast<std::size_t>(off_bytes));
-      !r.ok) {
-    return fail(r);
-  }
-
   std::uint64_t out_count = 0, in_count = 0;
-  {
+  auto write_sections = [&]() -> IoResult {
+    GORDER_OBS_SPAN(write_span, "extmem.section_write");
+    const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
+    crcs[0] = Crc32(out_off.data(), static_cast<std::size_t>(off_bytes));
+    crcs[2] = Crc32(in_off.data(), static_cast<std::size_t>(off_bytes));
+    if (IoResult r = writer.WriteAt(layout.out_offsets, out_off.data(),
+                                    static_cast<std::size_t>(off_bytes));
+        !r.ok) {
+      return r;
+    }
+    if (IoResult r = writer.WriteAt(layout.in_offsets, in_off.data(),
+                                    static_cast<std::size_t>(off_bytes));
+        !r.ok) {
+      return r;
+    }
     MergeStream merge;
-    if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return fail(r);
+    if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return r;
     if (IoResult r = StreamNeighborSection(
             &merge, &writer, layout.out_neighbors,
             [](const Edge& e) { return e.dst; }, &crcs[1], &fingerprint,
             &out_count);
         !r.ok) {
-      return fail(r);
+      return r;
     }
-  }
-  {
-    MergeStream merge;
-    if (IoResult r = transposed.OpenMerge(&merge); !r.ok) return fail(r);
+    if (IoResult r = transposed.OpenMerge(&merge); !r.ok) return r;
     // Transposed edges are (dst, src): sorted by dst then src, so the
     // second component streams exactly the in-neighbor lists.
-    if (IoResult r = StreamNeighborSection(
-            &merge, &writer, layout.in_neighbors,
-            [](const Edge& e) { return e.dst; }, &crcs[3], nullptr,
-            &in_count);
-        !r.ok) {
-      return fail(r);
-    }
-  }
+    return StreamNeighborSection(
+        &merge, &writer, layout.in_neighbors,
+        [](const Edge& e) { return e.dst; }, &crcs[3], nullptr, &in_count);
+  };
+  if (IoResult r = write_sections(); !r.ok) return fail(r);
   transposed.ReleaseScratch();
   if (out_count != m || in_count != m) {
     return fail(IoResult::Error("merge replay disagreed on edge count (" +

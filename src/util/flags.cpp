@@ -68,6 +68,18 @@ std::int64_t Flags::GetInt(const std::string& key, std::int64_t def) const {
   return ParseIntStrict(key, it->second);
 }
 
+std::int64_t Flags::GetIntInRange(const std::string& key, std::int64_t def,
+                                  std::int64_t lo, std::int64_t hi) const {
+  const std::int64_t v = GetInt(key, def);
+  if (v < lo || v > hi) {
+    std::fprintf(stderr, "flag --%s: %lld is out of range [%lld, %lld]\n",
+                 key.c_str(), static_cast<long long>(v),
+                 static_cast<long long>(lo), static_cast<long long>(hi));
+    std::exit(2);
+  }
+  return v;
+}
+
 double Flags::GetDouble(const std::string& key, double def) const {
   auto it = values_.find(key);
   if (it == values_.end()) return def;

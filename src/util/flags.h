@@ -31,6 +31,10 @@ class Flags {
   /// Numeric getters exit(2) with a diagnostic if the value is present
   /// but not fully parseable (empty, non-numeric, trailing garbage).
   std::int64_t GetInt(const std::string& key, std::int64_t def) const;
+  /// GetInt for a value that must lie in [lo, hi]: one outside exits(2)
+  /// with a diagnostic naming the range.
+  std::int64_t GetIntInRange(const std::string& key, std::int64_t def,
+                             std::int64_t lo, std::int64_t hi) const;
   double GetDouble(const std::string& key, double def) const;
   bool GetBool(const std::string& key, bool def) const;
   /// Comma-separated integer list, e.g. `--threads=1,2,8`. Every element

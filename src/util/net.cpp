@@ -54,6 +54,20 @@ IoResult FillSockaddrIn(const NetAddress& addr, sockaddr_in* sa) {
   return IoResult::Ok();
 }
 
+/// Turns Nagle's algorithm off on a TCP socket. A reply written while
+/// the previous one is still unacknowledged would otherwise wait for
+/// the peer's delayed ACK. Unix-domain sockets have no such delay.
+void SetNoDelayIfTcp(int fd) {
+  sockaddr_storage sa{};
+  socklen_t len = sizeof(sa);
+  if (::getsockname(fd, reinterpret_cast<sockaddr*>(&sa), &len) != 0 ||
+      (sa.ss_family != AF_INET && sa.ss_family != AF_INET6)) {
+    return;
+  }
+  int one = 1;
+  ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+}
+
 }  // namespace
 
 std::string NetAddress::ToString() const {
@@ -172,6 +186,7 @@ IoResult AcceptSocket(const Socket& listener, Socket* out) {
     int fd = ::accept(listener.fd(), nullptr, nullptr);
     if (fd >= 0) {
       *out = Socket(fd);
+      SetNoDelayIfTcp(fd);
       return IoResult::Ok();
     }
     if (errno == EINTR) continue;

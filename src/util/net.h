@@ -74,9 +74,10 @@ class Socket {
 /// the path is removed first (a daemon restart must not need manual rm).
 IoResult ListenSocket(const NetAddress& addr, Socket* out, int backlog = 128);
 
-/// Accepts one connection (blocking). EINTR is retried; every other
-/// failure — including an injected one — returns a clean error so the
-/// accept loop can decide to retry or stop.
+/// Accepts one connection (blocking), with TCP_NODELAY set when it is a
+/// TCP one. EINTR is retried; every other failure — including an
+/// injected one — returns a clean error so the accept loop can decide
+/// to retry or stop.
 IoResult AcceptSocket(const Socket& listener, Socket* out);
 
 /// Connects (blocking) and applies `timeout_s` as both the send and

@@ -169,6 +169,63 @@ TEST(ExtCsrTest, LargerShuffledGraphWithTinyBudget) {
   ExpectPackIdentical(edges, 0, TinyOptions(512, 4));
 }
 
+TEST(ExternalEdgeSorterTest, SortsIdsOfEveryWidth) {
+  // The other cases keep ids below 500, so the radix sort's higher digits
+  // never differ there. Here ids are 1 to 32 bits wide, 0 and 0xFFFFFFFE
+  // included; duplicates and self-loops are mixed in and the stream is
+  // shuffled. Buffers of 3 and 5 (and 4096 over an odd count) split into
+  // unequal halves; a buffer of 2 spills every pair.
+  std::vector<NodeId> ids = {0, 0xFFFFFFFEu};
+  Rng rng(11);
+  for (int bits = 1; bits <= 32; ++bits) {
+    const std::uint64_t low = std::uint64_t{1} << (bits - 1);
+    ids.push_back(static_cast<NodeId>(low + rng.Uniform(low)));
+  }
+  std::vector<Edge> edges;
+  for (int i = 0; i < 500; ++i) {
+    const NodeId src = ids[rng.Uniform(ids.size())];
+    edges.push_back({src, ids[rng.Uniform(ids.size())]});
+  }
+  for (NodeId v : ids) edges.push_back({v, v});
+  for (int i = 0; i < 65; ++i) {
+    const Edge duplicate = edges[rng.Uniform(edges.size())];
+    edges.push_back(duplicate);
+  }
+  ASSERT_EQ(edges.size() % 2, 1u);
+  for (std::size_t i = edges.size(); i > 1; --i) {
+    std::swap(edges[i - 1], edges[rng.Uniform(i)]);
+  }
+  std::vector<Edge> expected = edges;
+  auto less = [](const Edge& a, const Edge& b) {
+    return a.src != b.src ? a.src < b.src : a.dst < b.dst;
+  };
+  std::sort(expected.begin(), expected.end(), less);
+  expected.erase(std::unique(expected.begin(), expected.end()),
+                 expected.end());
+
+  for (std::size_t buffer : {2, 3, 5, 4096}) {
+    SCOPED_TRACE("run_buffer_edges=" + std::to_string(buffer));
+    extmem::ExternalEdgeSorter sorter(TinyOptions(buffer));
+    ASSERT_TRUE(sorter.Create(TempPath(std::to_string(buffer))).ok);
+    ASSERT_TRUE(sorter.AddBatch(edges.data(), edges.size()).ok);
+    extmem::ExtBuildStats stats;
+    ASSERT_TRUE(sorter.Finish(&stats).ok);
+    EXPECT_EQ(stats.runs_written,
+              (edges.size() + buffer - 1) / buffer + stats.merge_passes);
+    extmem::MergeStream merge;
+    ASSERT_TRUE(sorter.OpenMerge(&merge).ok);
+    std::vector<Edge> replay;
+    while (true) {
+      Edge e;
+      bool eof = false;
+      ASSERT_TRUE(merge.Next(&e, &eof).ok);
+      if (eof) break;
+      replay.push_back(e);
+    }
+    EXPECT_TRUE(replay == expected);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Text edge-list streaming ingest
 

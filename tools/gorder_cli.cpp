@@ -52,6 +52,7 @@
 // --json-out=<f> (machine-readable run report, written at exit) and
 // --trace-out=<f> (Chrome trace for Perfetto).
 
+#include <cstdint>
 #include <cstdio>
 #include <cstring>
 
@@ -134,10 +135,14 @@ gen::ChunkedOptions ChunkedFromFlags(const Flags& flags) {
 
 /// Shared --extmem knobs: --mem-budget=<MB> bounds the streaming buffers
 /// of the out-of-core pipeline (run buffer, merge reads, write window).
+/// A budget below 1 MB, or one whose byte count overflows int64, exits 2.
 extmem::ExtmemOptions ExtmemFromFlags(const Flags& flags) {
+  constexpr std::int64_t kMaxBudgetMb = INT64_MAX >> 20;
   extmem::ExtmemOptions options;
   options.mem_budget_bytes =
-      static_cast<std::uint64_t>(flags.GetInt("mem-budget", 256)) << 20;
+      static_cast<std::uint64_t>(
+          flags.GetIntInRange("mem-budget", 256, 1, kMaxBudgetMb))
+      << 20;
   options.scratch_dir = flags.GetString("scratch-dir", "");
   return options;
 }
@@ -498,6 +503,7 @@ int CmdPack(const Flags& flags) {
 }
 
 int CmdInfo(const Flags& flags) {
+  const extmem::ExtmemOptions options = ExtmemFromFlags(flags);
   std::string path = flags.GetString("in", "");
   store::GpackInfo info;
   IoResult r = store::ReadPackInfo(path, &info);
@@ -525,11 +531,11 @@ int CmdInfo(const Flags& flags) {
   }
   // Peak-RSS estimates (dominant terms) so users can judge whether this
   // graph needs --extmem on their machine.
-  const extmem::MemoryEstimates est = extmem::EstimateMemory(
-      info.num_nodes, info.num_edges, ExtmemFromFlags(flags));
+  const extmem::MemoryEstimates est =
+      extmem::EstimateMemory(info.num_nodes, info.num_edges, options);
   auto mb = [](std::uint64_t b) { return static_cast<double>(b) / (1 << 20); };
-  std::printf("memory estimates (peak RSS, --mem-budget=%lld MB):\n",
-              static_cast<long long>(flags.GetInt("mem-budget", 256)));
+  std::printf("memory estimates (peak RSS, --mem-budget=%llu MB):\n",
+              static_cast<unsigned long long>(options.mem_budget_bytes >> 20));
   std::printf("  mmap load (address space):   %10.1f MB\n",
               mb(est.pack_file_bytes));
   std::printf("  in-memory load (copy):       %10.1f MB\n",

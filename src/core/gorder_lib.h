@@ -39,7 +39,6 @@
 #include "extmem/edge_stream.h"
 #include "extmem/ext_csr.h"
 #include "extmem/semi_external.h"
-#include "extmem/windowed_file.h"
 #include "gen/crawl_order.h"
 #include "gen/datasets.h"
 #include "gen/generators.h"

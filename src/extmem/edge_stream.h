@@ -31,7 +31,7 @@
 namespace gorder::extmem {
 
 /// Knobs for the out-of-core pipeline. The memory budget governs the
-/// streaming state (run buffer, merge read buffers, pack write window) —
+/// streaming state (run buffer, merge read buffers) —
 /// the semi-external model additionally keeps O(n) vertex state in RAM,
 /// which is reported by EstimateMemory (ext_csr.h), not bounded here.
 struct ExtmemOptions {
@@ -53,7 +53,6 @@ struct ExtBuildStats {
   std::uint64_t runs_written = 0;    // run files spilled (incl. compaction)
   std::uint64_t run_bytes = 0;       // bytes spilled to scratch
   std::uint64_t merge_passes = 0;    // compaction passes beyond the final
-  std::uint64_t window_remaps = 0;   // pack write-window advances
 };
 
 class MergeStream;

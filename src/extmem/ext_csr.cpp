@@ -4,13 +4,9 @@
 #include <filesystem>
 #include <new>
 
-#include "extmem/windowed_file.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "store/fingerprint.h"
 #include "store/gpack.h"
-#include "util/atomic_file.h"
-#include "util/crc32.h"
 #include "util/failpoint.h"
 
 namespace gorder::extmem {
@@ -22,45 +18,34 @@ GORDER_FAILPOINT_DEFINE(fp_csr_alloc, "extmem.csr.alloc");
 GORDER_OBS_COUNTER(c_ext_builds, "extmem.pack_builds");
 GORDER_OBS_COUNTER(c_ext_edges, "extmem.edges_ingested");
 
-/// Streams one neighbor section: pulls edges off `merge`, emits
-/// `pick(edge)` as the next NodeId at `section_offset`, updating the
-/// running CRC and (optionally) the content fingerprint.
-template <typename Pick>
-IoResult StreamNeighborSection(MergeStream* merge, WindowedWriter* writer,
-                               std::uint64_t section_offset, Pick pick,
-                               std::uint32_t* crc, store::Hash64* fingerprint,
-                               std::uint64_t* count) {
+/// Neighbors buffered between a merge replay and the pack writer. With
+/// the run and merge buffers this bounds the build's address space.
+constexpr std::size_t kNeighborBufferItems = 1u << 16;
+
+/// Streams one neighbor section from a merge replay: the dst of each
+/// edge in merge order, appended through `append` a bounded buffer at a
+/// time. On the transposed (dst, src) replay that is the in-neighbors.
+IoResult StreamNeighborSection(
+    MergeStream* merge, store::PackWriter* writer,
+    IoResult (store::PackWriter::*append)(const NodeId*, std::size_t)) {
   std::vector<NodeId> buf;
-  buf.reserve(1u << 16);
-  std::uint64_t written = 0;
-  auto flush = [&]() -> IoResult {
-    if (buf.empty()) return IoResult::Ok();
-    const std::uint64_t bytes = buf.size() * sizeof(NodeId);
-    IoResult r = writer->WriteAt(section_offset + written * sizeof(NodeId),
-                                 buf.data(), static_cast<std::size_t>(bytes));
-    if (!r.ok) return r;
-    *crc = Crc32(buf.data(), static_cast<std::size_t>(bytes), *crc);
-    if (fingerprint != nullptr) {
-      for (NodeId v : buf) fingerprint->Mix(v);
-    }
-    written += buf.size();
-    buf.clear();
-    return IoResult::Ok();
-  };
+  buf.reserve(kNeighborBufferItems);
   while (true) {
     Edge e;
     bool eof = false;
     if (IoResult r = merge->Next(&e, &eof); !r.ok) return r;
     if (eof) break;
     if (e.src == e.dst) continue;  // self-loops dropped, as in Builder
-    buf.push_back(pick(e));
+    buf.push_back(e.dst);
     if (buf.size() == buf.capacity()) {
-      if (IoResult r = flush(); !r.ok) return r;
+      if (IoResult r = (writer->*append)(buf.data(), buf.size()); !r.ok) {
+        return r;
+      }
+      buf.clear();
     }
   }
-  if (IoResult r = flush(); !r.ok) return r;
-  if (count != nullptr) *count = written;
-  return IoResult::Ok();
+  return buf.empty() ? IoResult::Ok()
+                     : (writer->*append)(buf.data(), buf.size());
 }
 
 }  // namespace
@@ -158,82 +143,38 @@ IoResult ExtPackBuilder::FinishImpl() {
   if (IoResult r = transposed.Finish(&stats_); !r.ok) return r;
   stats_.edges_final = m;
 
-  // --- Pass B: prefix sums, stream the four sections into the pack. ----
+  // --- Pass B: prefix sums, then the four sections in file order. ------
   for (std::size_t v = 0; v < n; ++v) out_off[v + 1] += out_off[v];
   for (std::size_t v = 0; v < n; ++v) in_off[v + 1] += in_off[v];
 
-  store::Hash64 fingerprint;
-  fingerprint.Mix(n);
-  fingerprint.Mix(m);
-  for (EdgeId off : out_off) fingerprint.Mix(off);
-
-  const store::GpackLayout layout = store::ComputeGpackLayout(n, m);
-  const std::size_t window = std::clamp<std::size_t>(
-      static_cast<std::size_t>(options_.mem_budget_bytes / 4), 1u << 20,
-      256u << 20);
-  const std::string tmp = util::StagingPath(pack_path_);
-  WindowedWriter writer;
-  auto fail = [&](IoResult r) {
-    writer.Close();
-    std::error_code ec;
-    std::filesystem::remove(tmp, ec);
-    return r;
-  };
-  if (IoResult r = writer.Create(tmp, layout.file_bytes, window); !r.ok) {
-    return fail(r);
-  }
-
-  std::uint32_t crcs[4] = {};
-  std::uint64_t out_count = 0, in_count = 0;
+  // The writer holds each section to n + 1 offsets or m neighbors from
+  // pass A, so a replay that disagrees on m fails instead of committing.
+  store::PackWriter writer;
   auto write_sections = [&]() -> IoResult {
     GORDER_OBS_SPAN(write_span, "extmem.section_write");
-    const std::uint64_t off_bytes = (n + 1) * sizeof(EdgeId);
-    crcs[0] = Crc32(out_off.data(), static_cast<std::size_t>(off_bytes));
-    crcs[2] = Crc32(in_off.data(), static_cast<std::size_t>(off_bytes));
-    if (IoResult r = writer.WriteAt(layout.out_offsets, out_off.data(),
-                                    static_cast<std::size_t>(off_bytes));
-        !r.ok) {
-      return r;
-    }
-    if (IoResult r = writer.WriteAt(layout.in_offsets, in_off.data(),
-                                    static_cast<std::size_t>(off_bytes));
+    if (IoResult r = writer.Begin(pack_path_, n, m); !r.ok) return r;
+    if (IoResult r = writer.AppendOutOffsets(out_off.data(), out_off.size());
         !r.ok) {
       return r;
     }
     MergeStream merge;
     if (IoResult r = forward_.OpenMerge(&merge); !r.ok) return r;
     if (IoResult r = StreamNeighborSection(
-            &merge, &writer, layout.out_neighbors,
-            [](const Edge& e) { return e.dst; }, &crcs[1], &fingerprint,
-            &out_count);
+            &merge, &writer, &store::PackWriter::AppendOutNeighbors);
+        !r.ok) {
+      return r;
+    }
+    if (IoResult r = writer.AppendInOffsets(in_off.data(), in_off.size());
         !r.ok) {
       return r;
     }
     if (IoResult r = transposed.OpenMerge(&merge); !r.ok) return r;
-    // Transposed edges are (dst, src): sorted by dst then src, so the
-    // second component streams exactly the in-neighbor lists.
-    return StreamNeighborSection(
-        &merge, &writer, layout.in_neighbors,
-        [](const Edge& e) { return e.dst; }, &crcs[3], nullptr, &in_count);
+    return StreamNeighborSection(&merge, &writer,
+                                 &store::PackWriter::AppendInNeighbors);
   };
-  if (IoResult r = write_sections(); !r.ok) return fail(r);
+  if (IoResult r = write_sections(); !r.ok) return r;
   transposed.ReleaseScratch();
-  if (out_count != m || in_count != m) {
-    return fail(IoResult::Error("merge replay disagreed on edge count (" +
-                                std::to_string(out_count) + "/" +
-                                std::to_string(in_count) + " vs " +
-                                std::to_string(m) + ")"));
-  }
-
-  const std::string header =
-      store::SerializeGpackHeader(n, m, fingerprint.Digest(), crcs);
-  if (IoResult r = writer.WriteAt(0, header.data(), header.size()); !r.ok) {
-    return fail(r);
-  }
-  if (IoResult r = writer.Sync(); !r.ok) return fail(r);
-  writer.Close();
-  if (IoResult r = util::CommitStagedFile(tmp, pack_path_); !r.ok) return r;
-  stats_.window_remaps = writer.window_remaps();
+  if (IoResult r = writer.Commit(); !r.ok) return r;
   GORDER_OBS_INC(c_ext_builds);
   GORDER_OBS_ADD(c_ext_edges, stats_.edges_ingested);
   return IoResult::Ok();
@@ -277,7 +218,7 @@ MemoryEstimates EstimateMemory(std::uint64_t num_nodes,
                                const ExtmemOptions& options) {
   const std::uint64_t n = num_nodes, m = num_edges;
   MemoryEstimates est;
-  est.pack_file_bytes = store::ComputeGpackLayout(n, m).file_bytes;
+  est.pack_file_bytes = store::PackFileBytes(n, m);
   est.copy_load_bytes = 2 * (n + 1) * sizeof(EdgeId) + 2 * m * sizeof(NodeId);
   // FromEdges holds the edge list plus both CSRs plus counting arrays at
   // its peak.

@@ -12,17 +12,17 @@
 ///   pass A     k-way merge replay #1: counts m and the out-/in-degrees
 ///              (O(n) RAM) and spills the transposed edges (dst, src)
 ///              into a second sorter for the in-CSR.
-///   pass B     degrees prefix-sum into offsets; the pack file is
-///              created at its exact final size (store::ComputeGpackLayout)
-///              and merge replay #2 streams out_neighbors — then the
-///              transposed merge streams in_neighbors — through a
-///              bounded windowed mmap (WindowedWriter). Section CRCs
-///              and the content fingerprint accumulate incrementally.
-///   commit     header written last, fsync, atomic rename
-///              (util::CommitStagedFile).
+///   pass B     degrees prefix-sum into offsets; the four sections go
+///              to store::PackWriter in file order: out_offsets, merge
+///              replay #2 as out_neighbors, in_offsets, then the
+///              transposed merge as in_neighbors, each replay through a
+///              bounded buffer.
+///   commit     PackWriter::Commit: header written last, fsync, atomic
+///              rename.
 ///
-/// The result is byte-identical to store::WritePack of the equivalent
-/// in-memory graph (same layout math, same dedup/sort semantics), which
+/// store::WritePack writes through the same PackWriter, and the sort
+/// and dedup semantics match Graph::Builder, so the result is
+/// byte-identical to WritePack of the equivalent in-memory graph, which
 /// the differential test asserts file-for-file.
 
 #include <cstdint>

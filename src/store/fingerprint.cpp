@@ -5,12 +5,10 @@
 namespace gorder::store {
 
 std::uint64_t GraphFingerprint(const Graph& graph) {
-  Hash64 h;
-  h.Mix(graph.NumNodes());
-  h.Mix(graph.NumEdges());
-  for (EdgeId off : graph.out_offsets()) h.Mix(off);
-  for (NodeId v : graph.out_neighbors()) h.Mix(v);
-  return h.Digest();
+  GraphFingerprinter fp(graph.NumNodes(), graph.NumEdges());
+  fp.Add(graph.out_offsets().data(), graph.out_offsets().size());
+  fp.Add(graph.out_neighbors().data(), graph.out_neighbors().size());
+  return fp.Digest();
 }
 
 std::string FingerprintHex(std::uint64_t fp) {

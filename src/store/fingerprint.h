@@ -1,6 +1,7 @@
 #ifndef GORDER_STORE_FINGERPRINT_H_
 #define GORDER_STORE_FINGERPRINT_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 
@@ -44,12 +45,35 @@ class Hash64 {
   std::uint64_t digest_ = 0;
 };
 
-/// Content fingerprint of a graph: hashes (n, m) and the out-CSR arrays.
-/// The in-CSR is fully determined by the out-CSR (same edge multiset,
-/// sorted lists), so hashing one side identifies the graph while halving
-/// the cost. Identical for an owned graph and its zero-copy mapped twin.
-/// Keys the ordering-artifact cache: an ordering computed for fingerprint
-/// F is valid for exactly the graphs with fingerprint F.
+/// The content-fingerprint recipe, built up incrementally: (n, m), then
+/// every word of the out-CSR offsets, then every word of the out-CSR
+/// neighbours, each fed in chunks of any size. The in-CSR is fully
+/// determined by the out-CSR (same edge multiset, sorted lists), so
+/// hashing one side identifies the graph while halving the cost.
+/// GraphFingerprint and the pack writer both hash through this class,
+/// and the fingerprint is stored in every pack header.
+class GraphFingerprinter {
+ public:
+  GraphFingerprinter(std::uint64_t num_nodes, std::uint64_t num_edges) {
+    hash_.Mix(num_nodes);
+    hash_.Mix(num_edges);
+  }
+
+  template <typename Word>
+  void Add(const Word* words, std::size_t count) {
+    for (std::size_t i = 0; i < count; ++i) hash_.Mix(words[i]);
+  }
+
+  std::uint64_t Digest() const { return hash_.Digest(); }
+
+ private:
+  Hash64 hash_;
+};
+
+/// Content fingerprint of a graph (GraphFingerprinter over its out-CSR).
+/// Identical for an owned graph and its zero-copy mapped twin. Keys the
+/// ordering-artifact cache: an ordering computed for fingerprint F is
+/// valid for exactly the graphs with fingerprint F.
 std::uint64_t GraphFingerprint(const Graph& graph);
 
 /// Formats a fingerprint the way store paths and diagnostics spell it:

@@ -1,5 +1,6 @@
 #include "store/gpack.h"
 
+#include <algorithm>
 #include <atomic>
 #include <bit>
 #include <cstdio>
@@ -87,6 +88,47 @@ std::uint64_t AlignUp(std::uint64_t v, std::uint64_t a) {
   return (v + a - 1) / a * a;
 }
 
+constexpr int kNumSections = 4;
+
+/// The four sections in file order (PackWriter's section index).
+struct SectionFormat {
+  std::uint32_t id;
+  std::uint32_t item_bytes;
+  bool offsets;  // n + 1 offsets, else m neighbours
+};
+constexpr SectionFormat kSections[kNumSections] = {
+    {kOutOffsets, sizeof(EdgeId), true},
+    {kOutNeighbors, sizeof(NodeId), false},
+    {kInOffsets, sizeof(EdgeId), true},
+    {kInNeighbors, sizeof(NodeId), false},
+};
+
+std::uint64_t SectionItems(int section, std::uint64_t n, std::uint64_t m) {
+  return kSections[section].offsets ? n + 1 : m;
+}
+
+constexpr std::uint64_t kTableEnd =
+    sizeof(GpackHeader) + kNumSections * sizeof(GpackSectionEntry);
+
+/// Where each section's payload starts, and the file size: a section
+/// starts at the first 64-byte boundary after the header, the table and
+/// the sections before it, and the file ends at the last payload byte.
+struct Layout {
+  std::uint64_t offset[kNumSections];
+  std::uint64_t file_bytes;
+};
+
+Layout ComputeLayout(std::uint64_t n, std::uint64_t m) {
+  Layout layout = {};
+  std::uint64_t end = kTableEnd;
+  for (int s = 0; s < kNumSections; ++s) {
+    layout.offset[s] = AlignUp(end, kSectionAlign);
+    end = layout.offset[s] + SectionItems(s, n, m) * kSections[s].item_bytes;
+  }
+  layout.file_bytes = end;
+  return layout;
+}
+
 /// CRC of the header (crc field zeroed) followed by the section table.
 std::uint32_t HeaderCrc(GpackHeader header,
                         const std::vector<GpackSectionEntry>& table) {
@@ -96,43 +138,6 @@ std::uint32_t HeaderCrc(GpackHeader header,
              ? crc
              : Crc32(table.data(), table.size() * sizeof(GpackSectionEntry),
                      crc);
-}
-
-struct FileCloser {
-  void operator()(std::FILE* f) const {
-    if (f != nullptr) std::fclose(f);
-  }
-};
-using FilePtr = std::unique_ptr<std::FILE, FileCloser>;
-
-/// Streams `bytes` of `data` through fwrite in large chunks.
-bool WriteBuffered(std::FILE* f, const void* data, std::uint64_t bytes) {
-  constexpr std::uint64_t kChunk = 8ULL << 20;
-  const char* p = static_cast<const char*>(data);
-  while (bytes > 0) {
-    std::size_t step = static_cast<std::size_t>(std::min(bytes, kChunk));
-    if (GORDER_FAULT_IO(fp_pack_write, step, std::fwrite(p, 1, step, f)) !=
-        step) {
-      return false;
-    }
-    p += step;
-    bytes -= step;
-  }
-  return true;
-}
-
-bool WriteZeros(std::FILE* f, std::uint64_t bytes) {
-  char zeros[kSectionAlign] = {};
-  while (bytes > 0) {
-    std::size_t step = static_cast<std::size_t>(
-        std::min<std::uint64_t>(bytes, sizeof zeros));
-    if (GORDER_FAULT_IO(fp_pack_write, step, std::fwrite(zeros, 1, step, f)) !=
-        step) {
-      return false;
-    }
-    bytes -= step;
-  }
-  return true;
 }
 
 /// Validated view of a pack file: header, table and section extents all
@@ -198,20 +203,9 @@ IoResult ParseAndCheck(const std::string& path, const MappedFile& file,
     return IoResult::Error(path + ": pack lacks the in-CSR (flag unset)");
   }
 
-  const std::uint64_t n = h.num_nodes;
-  const std::uint64_t m = h.num_edges;
-  struct Expected {
-    std::uint32_t id;
-    std::uint32_t item_bytes;
-    std::uint64_t items;
-  };
-  const Expected expected[4] = {
-      {kOutOffsets, sizeof(EdgeId), n + 1},
-      {kOutNeighbors, sizeof(NodeId), m},
-      {kInOffsets, sizeof(EdgeId), n + 1},
-      {kInNeighbors, sizeof(NodeId), m},
-  };
-  for (const Expected& want : expected) {
+  for (int s = 0; s < kNumSections; ++s) {
+    const SectionFormat& want = kSections[s];
+    const std::uint64_t items = SectionItems(s, h.num_nodes, h.num_edges);
     const GpackSectionEntry* entry = nullptr;
     for (const GpackSectionEntry& e : view->table) {
       if (e.id == want.id) {
@@ -227,7 +221,7 @@ IoResult ParseAndCheck(const std::string& path, const MappedFile& file,
                              SectionName(want.id));
     }
     if (entry->item_bytes != want.item_bytes ||
-        entry->bytes != want.items * want.item_bytes) {
+        entry->bytes != items * want.item_bytes) {
       return IoResult::Error(path + ": section " + SectionName(want.id) +
                              " has inconsistent size");
     }
@@ -315,132 +309,24 @@ IoResult CheckCsrInvariants(const std::string& path, const PackView& view) {
 
 }  // namespace
 
-GpackLayout ComputeGpackLayout(std::uint64_t num_nodes,
-                               std::uint64_t num_edges) {
-  const std::uint64_t off_bytes = (num_nodes + 1) * sizeof(EdgeId);
-  const std::uint64_t nbr_bytes = num_edges * sizeof(NodeId);
-  GpackLayout layout;
-  std::uint64_t offset = AlignUp(
-      sizeof(GpackHeader) + 4 * sizeof(GpackSectionEntry), kSectionAlign);
-  layout.out_offsets = offset;
-  offset = AlignUp(offset + off_bytes, kSectionAlign);
-  layout.out_neighbors = offset;
-  offset = AlignUp(offset + nbr_bytes, kSectionAlign);
-  layout.in_offsets = offset;
-  offset = AlignUp(offset + off_bytes, kSectionAlign);
-  layout.in_neighbors = offset;
-  // Like WritePack, the file ends at the last payload byte — padding is
-  // only ever written ahead of a section.
-  layout.file_bytes = offset + nbr_bytes;
-  return layout;
+std::uint64_t PackFileBytes(std::uint64_t num_nodes, std::uint64_t num_edges) {
+  return ComputeLayout(num_nodes, num_edges).file_bytes;
 }
 
-std::string SerializeGpackHeader(std::uint64_t num_nodes,
-                                 std::uint64_t num_edges,
-                                 std::uint64_t fingerprint,
-                                 const std::uint32_t crcs[4]) {
-  const GpackLayout layout = ComputeGpackLayout(num_nodes, num_edges);
-  const std::uint64_t off_bytes = (num_nodes + 1) * sizeof(EdgeId);
-  const std::uint64_t nbr_bytes = num_edges * sizeof(NodeId);
-
-  GpackHeader header = {};
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.format_version = kGpackFormatVersion;
-  header.header_bytes = sizeof(GpackHeader);
-  header.flags = kFlagHasInCsr;
-  header.num_nodes = num_nodes;
-  header.num_edges = num_edges;
-  header.fingerprint = fingerprint;
-  header.section_count = 4;
-
-  std::vector<GpackSectionEntry> table(4);
-  const struct {
-    std::uint32_t id;
-    std::uint32_t item_bytes;
-    std::uint64_t offset;
-    std::uint64_t bytes;
-  } sections[4] = {
-      {kOutOffsets, sizeof(EdgeId), layout.out_offsets, off_bytes},
-      {kOutNeighbors, sizeof(NodeId), layout.out_neighbors, nbr_bytes},
-      {kInOffsets, sizeof(EdgeId), layout.in_offsets, off_bytes},
-      {kInNeighbors, sizeof(NodeId), layout.in_neighbors, nbr_bytes},
-  };
-  for (std::size_t i = 0; i < 4; ++i) {
-    table[i].id = sections[i].id;
-    table[i].item_bytes = sections[i].item_bytes;
-    table[i].offset = sections[i].offset;
-    table[i].bytes = sections[i].bytes;
-    table[i].crc32 = crcs[i];
-    table[i].reserved = 0;
-  }
-  header.header_crc = HeaderCrc(header, table);
-
-  std::string out(sizeof(GpackHeader) + 4 * sizeof(GpackSectionEntry), '\0');
-  std::memcpy(out.data(), &header, sizeof header);
-  std::memcpy(out.data() + sizeof header, table.data(),
-              4 * sizeof(GpackSectionEntry));
-  return out;
-}
-
-IoResult WritePack(const std::string& path, const Graph& graph) {
-  GORDER_OBS_SPAN(span, "store.pack_write");
-  const std::uint64_t n = graph.NumNodes();
-  const std::uint64_t m = graph.NumEdges();
-
-  GpackHeader header = {};
-  std::memcpy(header.magic, kMagic, sizeof kMagic);
-  header.format_version = kGpackFormatVersion;
-  header.header_bytes = sizeof(GpackHeader);
-  header.flags = kFlagHasInCsr;
-  header.num_nodes = n;
-  header.num_edges = m;
-  header.section_count = 4;
-
-  struct Payload {
-    std::uint32_t id;
-    std::uint32_t item_bytes;
-    const void* data;
-    std::uint64_t bytes;
-  };
-  const Payload payloads[4] = {
-      {kOutOffsets, sizeof(EdgeId), graph.out_offsets().data(),
-       graph.out_offsets().size() * sizeof(EdgeId)},
-      {kOutNeighbors, sizeof(NodeId), graph.out_neighbors().data(),
-       graph.out_neighbors().size() * sizeof(NodeId)},
-      {kInOffsets, sizeof(EdgeId), graph.in_offsets().data(),
-       graph.in_offsets().size() * sizeof(EdgeId)},
-      {kInNeighbors, sizeof(NodeId), graph.in_neighbors().data(),
-       graph.in_neighbors().size() * sizeof(NodeId)},
-  };
-
-  // Fingerprint and the four payload CRCs are independent scans; run them
-  // concurrently on the shared pool.
-  std::vector<GpackSectionEntry> table(4);
-  std::uint64_t offset =
-      AlignUp(sizeof(GpackHeader) + table.size() * sizeof(GpackSectionEntry),
-              kSectionAlign);
-  for (std::size_t i = 0; i < 4; ++i) {
-    table[i].id = payloads[i].id;
-    table[i].item_bytes = payloads[i].item_bytes;
-    table[i].offset = offset;
-    table[i].bytes = payloads[i].bytes;
-    table[i].reserved = 0;
-    offset = AlignUp(offset + payloads[i].bytes, kSectionAlign);
-  }
-  ParallelInvoke(
-      [&] { header.fingerprint = GraphFingerprint(graph); },
-      [&] {
-        table[0].crc32 = Crc32(payloads[0].data, payloads[0].bytes);
-        table[1].crc32 = Crc32(payloads[1].data, payloads[1].bytes);
-      },
-      [&] {
-        table[2].crc32 = Crc32(payloads[2].data, payloads[2].bytes);
-        table[3].crc32 = Crc32(payloads[3].data, payloads[3].bytes);
-      });
-  header.header_crc = HeaderCrc(header, table);
+IoResult PackWriter::Begin(const std::string& path, std::uint64_t num_nodes,
+                           std::uint64_t num_edges) {
+  Abort();
+  path_ = path;
+  num_nodes_ = num_nodes;
+  num_edges_ = num_edges;
+  section_ = -1;
+  items_ = 0;
+  pos_ = 0;
+  std::fill(std::begin(crcs_), std::end(crcs_), 0);
+  fingerprint_ = GraphFingerprinter(num_nodes, num_edges);
 
   // Stage to a writer-unique temp file next to the target, fsync, and
-  // rename on success: a crashed or concurrent writer can never leave a
+  // rename on commit: a crashed or concurrent writer can never leave a
   // half-written pack under the final name, and the rename only happens
   // once the bytes are on stable storage.
   std::error_code ec;
@@ -452,37 +338,189 @@ IoResult WritePack(const std::string& path, const Graph& graph) {
   if (GORDER_FAILPOINT(fp_pack_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + tmp + " for writing");
   }
-  {
-    FilePtr f(std::fopen(tmp.c_str(), "wb"));
-    if (!f) return IoResult::Error("cannot open " + tmp + " for writing");
-    bool ok = GORDER_FAULT_IO(fp_pack_write, 1,
-                              std::fwrite(&header, sizeof header, 1,
-                                          f.get())) == 1 &&
-              GORDER_FAULT_IO(fp_pack_write, table.size(),
-                              std::fwrite(table.data(),
-                                          sizeof(GpackSectionEntry),
-                                          table.size(), f.get())) ==
-                  table.size();
-    std::uint64_t pos =
-        sizeof(GpackHeader) + table.size() * sizeof(GpackSectionEntry);
-    for (std::size_t i = 0; ok && i < 4; ++i) {
-      ok = WriteZeros(f.get(), table[i].offset - pos) &&
-           WriteBuffered(f.get(), payloads[i].data, payloads[i].bytes);
-      pos = table[i].offset + table[i].bytes;
-    }
-    if (!ok || !util::FlushAndSync(f.get())) {
-      f.reset();
-      std::filesystem::remove(tmp, ec);
-      return IoResult::Error("short write to " + tmp);
-    }
+  file_ = std::fopen(tmp.c_str(), "wb");
+  if (file_ == nullptr) {
+    return IoResult::Error("cannot open " + tmp + " for writing");
   }
-  if (IoResult r = util::CommitStagedFile(tmp, path); !r.ok) return r;
-  GORDER_OBS_INC(c_pack_write);
-  GORDER_OBS_ADD(c_pack_write_bytes, offset);
+  tmp_ = tmp;
   return IoResult::Ok();
 }
 
-IoResult LoadPack(const std::string& path, Graph* graph, LoadMode mode) {
+IoResult PackWriter::AppendOutOffsets(const EdgeId* offsets,
+                                      std::size_t count) {
+  return Append(0, offsets, count);
+}
+
+IoResult PackWriter::AppendOutNeighbors(const NodeId* neighbors,
+                                        std::size_t count) {
+  return Append(1, neighbors, count);
+}
+
+IoResult PackWriter::AppendInOffsets(const EdgeId* offsets,
+                                     std::size_t count) {
+  return Append(2, offsets, count);
+}
+
+IoResult PackWriter::AppendInNeighbors(const NodeId* neighbors,
+                                       std::size_t count) {
+  return Append(3, neighbors, count);
+}
+
+template <typename T>
+IoResult PackWriter::Append(int section, const T* items, std::size_t count) {
+  if (IoResult r = Enter(section); !r.ok) return Fail(r);
+  const std::uint64_t want = SectionItems(section, num_nodes_, num_edges_);
+  if (count > want - items_) {
+    return Fail(IoResult::Error(path_ + ": section " +
+                                SectionName(kSections[section].id) +
+                                " given more than its " +
+                                std::to_string(want) + " items"));
+  }
+  crcs_[section] = Crc32(items, count * sizeof(T), crcs_[section]);
+  if (section < 2) fingerprint_.Add(items, count);  // the out-CSR
+  if (!Write(items, count * sizeof(T))) {
+    return Fail(IoResult::Error("short write to " + tmp_));
+  }
+  items_ += count;
+  return IoResult::Ok();
+}
+
+/// Moves on to `section` (kNumSections: past the last one). Every section
+/// left behind must hold exactly its item count; each one entered starts
+/// with the zero padding up to its 64-byte aligned offset.
+IoResult PackWriter::Enter(int section) {
+  if (file_ == nullptr) {
+    return IoResult::Error(path_ + ": no pack write in progress");
+  }
+  if (section < section_) {
+    return IoResult::Error(path_ + ": section " +
+                           SectionName(kSections[section].id) +
+                           " written out of file order");
+  }
+  static const char kZeros[kTableEnd] = {};
+  while (section_ < section) {
+    if (section_ >= 0) {
+      const std::uint64_t want =
+          SectionItems(section_, num_nodes_, num_edges_);
+      if (items_ != want) {
+        return IoResult::Error(
+            path_ + ": section " + SectionName(kSections[section_].id) +
+            " holds " + std::to_string(items_) + " of its " +
+            std::to_string(want) + " items");
+      }
+    }
+    ++section_;
+    items_ = 0;
+    if (section_ == kNumSections) break;
+    // At most the header and table (before the first section), which
+    // Commit overwrites, or under 64 bytes of alignment.
+    const std::uint64_t pad =
+        ComputeLayout(num_nodes_, num_edges_).offset[section_] - pos_;
+    if (!Write(kZeros, static_cast<std::size_t>(pad))) {
+      return IoResult::Error("short write to " + tmp_);
+    }
+  }
+  return IoResult::Ok();
+}
+
+bool PackWriter::Write(const void* data, std::size_t bytes) {
+  if (bytes == 0) return true;
+  if (GORDER_FAULT_IO(fp_pack_write, bytes,
+                      std::fwrite(data, 1, bytes, file_)) != bytes) {
+    return false;
+  }
+  pos_ += bytes;
+  return true;
+}
+
+IoResult PackWriter::Commit() {
+  if (IoResult r = Enter(kNumSections); !r.ok) return Fail(r);
+  const std::uint64_t file_bytes = pos_;
+  const Layout layout = ComputeLayout(num_nodes_, num_edges_);
+
+  GpackHeader header = {};
+  std::memcpy(header.magic, kMagic, sizeof kMagic);
+  header.format_version = kGpackFormatVersion;
+  header.header_bytes = sizeof(GpackHeader);
+  header.flags = kFlagHasInCsr;
+  header.num_nodes = num_nodes_;
+  header.num_edges = num_edges_;
+  header.fingerprint = fingerprint_.Digest();
+  header.section_count = kNumSections;
+  std::vector<GpackSectionEntry> table(kNumSections);
+  for (int s = 0; s < kNumSections; ++s) {
+    table[s].id = kSections[s].id;
+    table[s].item_bytes = kSections[s].item_bytes;
+    table[s].offset = layout.offset[s];
+    table[s].bytes =
+        SectionItems(s, num_nodes_, num_edges_) * kSections[s].item_bytes;
+    table[s].crc32 = crcs_[s];
+    table[s].reserved = 0;
+  }
+  header.header_crc = HeaderCrc(header, table);
+
+  const bool ok = std::fseek(file_, 0, SEEK_SET) == 0 &&
+                  Write(&header, sizeof header) &&
+                  Write(table.data(), table.size() * sizeof(table[0])) &&
+                  util::FlushAndSync(file_);
+  const bool closed = std::fclose(file_) == 0;
+  file_ = nullptr;
+  if (!ok || !closed) return Fail(IoResult::Error("short write to " + tmp_));
+  const std::string tmp = std::move(tmp_);
+  tmp_.clear();
+  if (IoResult r = util::CommitStagedFile(tmp, path_); !r.ok) return r;
+  GORDER_OBS_INC(c_pack_write);
+  GORDER_OBS_ADD(c_pack_write_bytes, file_bytes);
+  return IoResult::Ok();
+}
+
+IoResult PackWriter::Fail(IoResult error) {
+  Abort();
+  return error;
+}
+
+void PackWriter::Abort() {
+  if (file_ != nullptr) {
+    std::fclose(file_);
+    file_ = nullptr;
+  }
+  if (!tmp_.empty()) {
+    std::error_code ec;
+    std::filesystem::remove(tmp_, ec);
+    tmp_.clear();
+  }
+}
+
+IoResult WritePack(const std::string& path, const Graph& graph) {
+  GORDER_OBS_SPAN(span, "store.pack_write");
+  PackWriter writer;
+  IoResult r = writer.Begin(path, graph.NumNodes(), graph.NumEdges());
+  if (r.ok) {
+    r = writer.AppendOutOffsets(graph.out_offsets().data(),
+                                graph.out_offsets().size());
+  }
+  if (r.ok) {
+    r = writer.AppendOutNeighbors(graph.out_neighbors().data(),
+                                  graph.out_neighbors().size());
+  }
+  if (r.ok) {
+    r = writer.AppendInOffsets(graph.in_offsets().data(),
+                               graph.in_offsets().size());
+  }
+  if (r.ok) {
+    r = writer.AppendInNeighbors(graph.in_neighbors().data(),
+                                 graph.in_neighbors().size());
+  }
+  return r.ok ? writer.Commit() : r;
+}
+
+namespace {
+
+/// LoadPack, also handing back the fingerprint from the validated header
+/// so VerifyPack need not map and parse the file a second time.
+IoResult LoadPackWithFingerprint(const std::string& path, Graph* graph,
+                                 LoadMode mode,
+                                 std::uint64_t* header_fingerprint) {
   GORDER_OBS_SPAN(span, "store.mmap_load");
   std::shared_ptr<MappedFile> file;
   IoResult r = MappedFile::Map(path, &file);
@@ -522,7 +560,15 @@ IoResult LoadPack(const std::string& path, Graph* graph, LoadMode mode) {
     }
     GORDER_OBS_INC(c_copy_load);
   }
+  *header_fingerprint = view.header.fingerprint;
   return IoResult::Ok();
+}
+
+}  // namespace
+
+IoResult LoadPack(const std::string& path, Graph* graph, LoadMode mode) {
+  std::uint64_t header_fingerprint = 0;
+  return LoadPackWithFingerprint(path, graph, mode, &header_fingerprint);
 }
 
 IoResult ReadPackInfo(const std::string& path, GpackInfo* info) {
@@ -547,11 +593,11 @@ IoResult ReadPackInfo(const std::string& path, GpackInfo* info) {
 
 IoResult VerifyPack(const std::string& path) {
   Graph g;
-  IoResult r = LoadPack(path, &g, LoadMode::kMmap);
+  std::uint64_t header_fingerprint = 0;
+  IoResult r =
+      LoadPackWithFingerprint(path, &g, LoadMode::kMmap, &header_fingerprint);
   if (!r.ok) return r;
-  GpackInfo info;
-  if (r = ReadPackInfo(path, &info); !r.ok) return r;
-  if (GraphFingerprint(g) != info.fingerprint) {
+  if (GraphFingerprint(g) != header_fingerprint) {
     return IoResult::Error(path +
                            ": content fingerprint mismatch (header does not "
                            "match payload)");

@@ -2,11 +2,13 @@
 #define GORDER_STORE_GPACK_H_
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <vector>
 
 #include "graph/edgelist_io.h"  // IoResult
 #include "graph/graph.h"
+#include "store/fingerprint.h"
 
 namespace gorder::store {
 
@@ -56,36 +58,67 @@ struct GpackInfo {
   std::vector<GpackSectionInfo> sections;
 };
 
-/// Byte layout of a standard four-section pack, computed from (n, m)
-/// alone. The in-memory writer (WritePack) and the external-memory
-/// builder (src/extmem) both derive their file layout from this, so a
-/// pack built out-of-core is byte-identical to one written from an
-/// in-memory graph with the same CSR content.
-struct GpackLayout {
-  std::uint64_t out_offsets = 0;    // file offset of each section payload
-  std::uint64_t out_neighbors = 0;
-  std::uint64_t in_offsets = 0;
-  std::uint64_t in_neighbors = 0;
-  std::uint64_t file_bytes = 0;     // total file size (ends at the last
-                                    // payload byte, like WritePack)
+/// Size in bytes of the pack PackWriter writes for `num_nodes` nodes and
+/// `num_edges` edges.
+std::uint64_t PackFileBytes(std::uint64_t num_nodes, std::uint64_t num_edges);
+
+/// The one gpack writer. Every pack, whether written from an in-memory
+/// graph (WritePack) or streamed by the external build (src/extmem),
+/// passes through it, so it alone knows the format. It takes the four
+/// CSR sections in file order (out_offsets, out_neighbors, in_offsets,
+/// in_neighbors), each in chunks of any size, and writes them
+/// sequentially: zero padding up to each 64-byte section start, the
+/// section CRCs and the content fingerprint built up as the bytes pass,
+/// and the header and section table written last, at offset 0.
+///
+/// Each section must receive exactly its n + 1 offsets or m neighbours:
+/// an append past that count, or moving on from a section before it is
+/// full, is an error. The pack is staged to a writer-unique temp file
+/// next to `path` and published by Commit() (fsync, atomic rename). Any
+/// error, or destroying the writer without a commit, removes the
+/// staging file, so `path` only ever holds a complete pack.
+class PackWriter {
+ public:
+  PackWriter() = default;
+  ~PackWriter() { Abort(); }
+  PackWriter(const PackWriter&) = delete;
+  PackWriter& operator=(const PackWriter&) = delete;
+
+  /// Starts a pack of `num_nodes` nodes and `num_edges` edges at `path`,
+  /// creating the parent directory if needed.
+  IoResult Begin(const std::string& path, std::uint64_t num_nodes,
+                 std::uint64_t num_edges);
+
+  IoResult AppendOutOffsets(const EdgeId* offsets, std::size_t count);
+  IoResult AppendOutNeighbors(const NodeId* neighbors, std::size_t count);
+  IoResult AppendInOffsets(const EdgeId* offsets, std::size_t count);
+  IoResult AppendInNeighbors(const NodeId* neighbors, std::size_t count);
+
+  /// Checks that every section is complete, writes the header and table,
+  /// fsyncs and renames the pack onto its final path.
+  IoResult Commit();
+
+ private:
+  template <typename T>
+  IoResult Append(int section, const T* items, std::size_t count);
+  IoResult Enter(int section);
+  bool Write(const void* data, std::size_t bytes);
+  IoResult Fail(IoResult error);
+  void Abort();
+
+  std::string path_;
+  std::string tmp_;  // staging file; empty once committed or removed
+  std::FILE* file_ = nullptr;
+  std::uint64_t num_nodes_ = 0;
+  std::uint64_t num_edges_ = 0;
+  int section_ = -1;         // section being written, in file order
+  std::uint64_t items_ = 0;  // items appended to it so far
+  std::uint64_t pos_ = 0;    // bytes written so far
+  std::uint32_t crcs_[4] = {};
+  GraphFingerprinter fingerprint_{0, 0};
 };
-GpackLayout ComputeGpackLayout(std::uint64_t num_nodes,
-                               std::uint64_t num_edges);
 
-/// Serialises the 64-byte header plus the four-entry section table for a
-/// standard pack — the first 192 bytes of the file. `crcs` are the
-/// payload CRC32s in section order (out_offsets, out_neighbors,
-/// in_offsets, in_neighbors). Everything between the returned prefix and
-/// the first payload (and between payloads) is zero padding.
-std::string SerializeGpackHeader(std::uint64_t num_nodes,
-                                 std::uint64_t num_edges,
-                                 std::uint64_t fingerprint,
-                                 const std::uint32_t crcs[4]);
-
-/// Writes `graph` as a gpack at `path` (atomically: staged to a
-/// temporary file in the same directory, then renamed). Buffered
-/// streaming — the CSR arrays are written in large chunks, never
-/// element-at-a-time.
+/// Writes `graph` as a gpack at `path` through PackWriter.
 IoResult WritePack(const std::string& path, const Graph& graph);
 
 /// Loads a gpack. kMmap (default) maps the file and hands the Graph

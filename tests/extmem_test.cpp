@@ -3,8 +3,9 @@
 // — empty graphs, reserved isolated nodes, single-run and multi-run
 // builds, run boundaries landing inside one vertex's adjacency,
 // duplicates and self-loops scattered across chunks, and forced
-// multi-pass merges. Plus the streaming ingest (text edge lists,
-// chunked R-MAT) and the windowed mmap writer underneath it all.
+// multi-pass merges. The pack bytes themselves are pinned too, so the
+// two paths cannot drift together. Plus the streaming ingest (text edge
+// lists, chunked R-MAT).
 
 #include <gtest/gtest.h>
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "util/hash.h"
 
 namespace gorder {
 namespace {
@@ -48,11 +50,20 @@ std::string ReadAll(const std::string& path) {
                      std::istreambuf_iterator<char>());
 }
 
+/// The expected bytes of a pack file: its size and the FNV-1a 64 of the
+/// whole file. Comparing two writers shows they agree; these pin what
+/// they agree on, so a change to the format itself cannot pass silently.
+struct PinnedBytes {
+  std::uint64_t size;
+  std::uint64_t fnv1a64;
+};
+
 /// Builds a pack with ExtPackBuilder from `edges` (fed in the given
-/// order) and asserts it is byte-identical to WritePack of the
-/// equivalent in-memory graph.
+/// order), asserts it is byte-identical to WritePack of the equivalent
+/// in-memory graph, and that both match `pinned`.
 void ExpectPackIdentical(const std::vector<Edge>& edges, NodeId reserve_nodes,
                          const extmem::ExtmemOptions& options,
+                         PinnedBytes pinned,
                          extmem::ExtBuildStats* stats_out = nullptr) {
   TempFile ext_pack(TempPath("ext.gpack"));
   TempFile mem_pack(TempPath("mem.gpack"));
@@ -75,6 +86,8 @@ void ExpectPackIdentical(const std::vector<Edge>& edges, NodeId reserve_nodes,
   ASSERT_EQ(ext_bytes.size(), mem_bytes.size());
   EXPECT_TRUE(ext_bytes == mem_bytes)
       << "extmem pack differs from in-memory pack";
+  EXPECT_EQ(ext_bytes.size(), pinned.size);
+  EXPECT_EQ(util::Fnv1a64(ext_bytes.data(), ext_bytes.size()), pinned.fnv1a64);
 
   // The pack must also verify end-to-end (CRCs + fingerprint).
   EXPECT_TRUE(store::VerifyPack(ext_pack.path).ok);
@@ -99,22 +112,22 @@ extmem::ExtmemOptions TinyOptions(std::size_t run_buffer_edges,
 }
 
 TEST(ExtCsrTest, EmptyGraph) {
-  ExpectPackIdentical({}, 0, TinyOptions(8));
+  ExpectPackIdentical({}, 0, TinyOptions(8), {320, 0x44a6c3dd4dd8b70b});
 }
 
 TEST(ExtCsrTest, ReservedIsolatedNodes) {
-  ExpectPackIdentical({}, 7, TinyOptions(8));
+  ExpectPackIdentical({}, 7, TinyOptions(8), {320, 0x494820d9acd76a7b});
 }
 
 TEST(ExtCsrTest, SelfLoopOnlyGrowsNodeCount) {
   // (7,7) is dropped but must still make the graph 8 nodes — exactly
   // Graph::Builder's AddEdge-then-strip semantics.
-  ExpectPackIdentical({{7, 7}}, 0, TinyOptions(8));
+  ExpectPackIdentical({{7, 7}}, 0, TinyOptions(8), {448, 0x46664e41c9ff2544});
 }
 
 TEST(ExtCsrTest, SingleChunkSmallGraph) {
   const std::vector<Edge> edges = {{0, 1}, {1, 2}, {2, 0}, {2, 3}, {3, 0}};
-  ExpectPackIdentical(edges, 0, TinyOptions(1024));
+  ExpectPackIdentical(edges, 0, TinyOptions(1024), {404, 0xa39cd6e32eb853a5});
 }
 
 TEST(ExtCsrTest, ChunkBoundaryInsideOneVertexAdjacency) {
@@ -125,7 +138,8 @@ TEST(ExtCsrTest, ChunkBoundaryInsideOneVertexAdjacency) {
   std::vector<Edge> edges;
   for (NodeId v = 23; v >= 1; --v) edges.push_back({0, v});
   extmem::ExtBuildStats stats;
-  ExpectPackIdentical(edges, 0, TinyOptions(4), &stats);
+  ExpectPackIdentical(edges, 0, TinyOptions(4), {924, 0x77ce236239bba2ad},
+                      &stats);
   EXPECT_GE(stats.runs_written, 5u);
 }
 
@@ -140,7 +154,8 @@ TEST(ExtCsrTest, DuplicatesAndSelfLoopsAcrossChunks) {
     edges.push_back({0, 3});
   }
   extmem::ExtBuildStats stats;
-  ExpectPackIdentical(edges, 0, TinyOptions(3), &stats);
+  ExpectPackIdentical(edges, 0, TinyOptions(3), {396, 0xe9920b423cd20723},
+                      &stats);
   EXPECT_GT(stats.runs_written, 1u);
   EXPECT_EQ(stats.edges_final, 3u);  // {1,2},{2,1},{0,3}
 }
@@ -155,7 +170,8 @@ TEST(ExtCsrTest, MultiPassMergeCompaction) {
                      static_cast<NodeId>(rng.Uniform(40))});
   }
   extmem::ExtBuildStats stats;
-  ExpectPackIdentical(edges, 0, TinyOptions(4, 2), &stats);
+  ExpectPackIdentical(edges, 0, TinyOptions(4, 2), {4900, 0xea94bf0535c1d037},
+                      &stats);
   EXPECT_GT(stats.merge_passes, 0u);
 }
 
@@ -166,7 +182,19 @@ TEST(ExtCsrTest, LargerShuffledGraphWithTinyBudget) {
     edges.push_back({static_cast<NodeId>(rng.Uniform(500)),
                      static_cast<NodeId>(rng.Uniform(500))});
   }
-  ExpectPackIdentical(edges, 0, TinyOptions(512, 4));
+  ExpectPackIdentical(edges, 0, TinyOptions(512, 4),
+                      {162208, 0x3f816a15c653c728});
+}
+
+TEST(ExtCsrTest, ShuffledRegistryGraph) {
+  // A registry graph at the differential test's scale, fed shuffled:
+  // hubs, communities and a realistic degree spread, pinned byte for byte.
+  const Graph graph = gen::MakeDataset("epinion", 0.12, 42);
+  std::vector<Edge> edges = graph.ToEdges();
+  Rng rng(1234);
+  rng.Shuffle(edges);
+  ExpectPackIdentical(edges, graph.NumNodes(), TinyOptions(4096),
+                      {61316, 0x77bb1bf3a2fe6ade});
 }
 
 TEST(ExternalEdgeSorterTest, SortsIdsOfEveryWidth) {
@@ -314,60 +342,6 @@ TEST(EdgeListStreamTest, StreamToPackMatchesInMemoryPipeline) {
 }
 
 // ---------------------------------------------------------------------------
-// Windowed writer
-
-TEST(WindowedWriterTest, SlidingWindowWritesWholeFile) {
-  TempFile file(TempPath("windowed.bin"));
-  const std::size_t total = 256 * 1024 + 123;
-  std::string expect(total, '\0');
-  for (std::size_t i = 0; i < total; ++i) {
-    expect[i] = static_cast<char>((i * 131) & 0xFF);
-  }
-  extmem::WindowedWriter writer;
-  // A 4KB window forces many remaps over 256KB.
-  ASSERT_TRUE(writer.Create(file.path, total, 4096).ok);
-  std::size_t pos = 0;
-  std::size_t step = 1;
-  while (pos < total) {
-    const std::size_t n = std::min(step, total - pos);
-    ASSERT_TRUE(writer.WriteAt(pos, expect.data() + pos, n).ok);
-    pos += n;
-    step = step * 3 % 9973 + 1;  // varied, sometimes window-crossing sizes
-  }
-  // Out-of-order fixup write (the header path of the pack builder).
-  ASSERT_TRUE(writer.WriteAt(0, expect.data(), 64).ok);
-  ASSERT_TRUE(writer.Sync().ok);
-  writer.Close();
-  EXPECT_GT(writer.window_remaps(), 10u);
-  EXPECT_TRUE(ReadAll(file.path) == expect);
-}
-
-TEST(WindowedWriterTest, RejectsWritePastEnd) {
-  TempFile file(TempPath("short.bin"));
-  extmem::WindowedWriter writer;
-  ASSERT_TRUE(writer.Create(file.path, 100, 4096).ok);
-  char byte = 1;
-  EXPECT_FALSE(writer.WriteAt(100, &byte, 1).ok);
-  EXPECT_TRUE(writer.WriteAt(99, &byte, 1).ok);
-}
-
-TEST(WindowedWriterTest, UntouchedRangesReadBackAsZeros) {
-  TempFile file(TempPath("sparse.bin"));
-  extmem::WindowedWriter writer;
-  ASSERT_TRUE(writer.Create(file.path, 64 * 1024, 8192).ok);
-  const char marker[4] = {'x', 'y', 'z', 'w'};
-  ASSERT_TRUE(writer.WriteAt(60000, marker, sizeof marker).ok);
-  ASSERT_TRUE(writer.Sync().ok);
-  writer.Close();
-  const std::string bytes = ReadAll(file.path);
-  ASSERT_EQ(bytes.size(), 64u * 1024);
-  EXPECT_EQ(bytes[0], '\0');
-  EXPECT_EQ(bytes[59999], '\0');
-  EXPECT_EQ(bytes[60000], 'x');
-  EXPECT_EQ(bytes[60003], 'w');
-}
-
-// ---------------------------------------------------------------------------
 // Chunked R-MAT
 
 TEST(StreamRmatTest, DeterministicAndInRange) {
@@ -450,8 +424,7 @@ TEST(MemoryEstimateTest, TracksGraphSize) {
   EXPECT_GT(big.inmem_build_peak_bytes, big.copy_load_bytes);
   EXPECT_GT(big.gorder_state_bytes, 0u);
   // The estimate of the mapped pack must match the real file layout.
-  EXPECT_EQ(small.pack_file_bytes,
-            store::ComputeGpackLayout(1000, 10000).file_bytes);
+  EXPECT_EQ(small.pack_file_bytes, store::PackFileBytes(1000, 10000));
 }
 
 }  // namespace

@@ -146,11 +146,13 @@ PipelineOutcome RunPipeline(const std::string& dir) {
   if (!out.wrote_trace) out.errors.push_back("WriteChromeTrace failed");
 
   // 8. Out-of-core pipeline (src/extmem): stream the text edge list
-  // through the external sorter into a windowed-mmap pack build, then
-  // run a semi-external ordering over the mapped result. Tiny buffers
-  // and fan-in force run spills and compaction merges, so this drives
-  // every extmem.* failpoint. A fault may cost the pack (nothing at the
-  // final path) or the ordering — never debris or a partial file.
+  // through the external sorter into a pack build that writes through
+  // store::PackWriter, then run a semi-external ordering over the mapped
+  // result. Tiny buffers and fan-in force run spills and compaction
+  // merges, so this drives every extmem.* failpoint and the writer's
+  // store.pack_write.* points a second time. A fault may cost the pack
+  // (nothing at the final path) or the ordering — never debris or a
+  // partial file.
   if (out.wrote_edgelist) {
     const std::string ext_pack = dir + "/ext.gpack";
     extmem::ExtmemOptions eopts;
@@ -459,8 +461,8 @@ TEST_F(FaultSweepTest, OneFaultAtATimeDegradesCleanly) {
                            "util.atomic.rename=err@1+",
                            "extmem.run.write=short@2",
                            "extmem.merge.read=err@3",
-                           "extmem.pack.write=enospc@2",
-                           "extmem.pack.sync=err@1+"}) {
+                           "store.pack_write.write=enospc@1+",
+                           "util.atomic.sync=err@1+"}) {
     SCOPED_TRACE(spec);
     std::string error;
     ASSERT_TRUE(util::ArmFailpointsFromSpec(spec, &error)) << error;

@@ -6,9 +6,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "core/gorder_lib.h"
@@ -190,6 +193,128 @@ TEST(Fingerprint, StableAndContentSensitive) {
   Graph mapped;
   ASSERT_TRUE(store::LoadPack(tmp.path, &mapped).ok);
   EXPECT_EQ(f1, store::GraphFingerprint(mapped));
+}
+
+// ---------------------------------------------------------------------------
+// PackWriter: the one writer behind WritePack and the external build.
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Files in `dir` carrying the util::StagingPath `.tmp.` infix.
+std::vector<std::string> StagingFiles(const std::string& dir) {
+  std::vector<std::string> out;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.find(".tmp.") != std::string::npos) out.push_back(name);
+  }
+  return out;
+}
+
+/// Writes `g` through PackWriter, each section in chunks of 1, 2, 3, ...
+/// items and with `delta` items added to section `skew` (0-3, file
+/// order); the extra item repeats the section's last one. Stops at the
+/// first error.
+IoResult WriteChunked(const std::string& path, const Graph& g, int skew = -1,
+                      int delta = 0) {
+  store::PackWriter writer;
+  IoResult r = writer.Begin(path, g.NumNodes(), g.NumEdges());
+  auto feed = [&](int section, const auto& items, auto append) {
+    std::vector<std::decay_t<decltype(items[0])>> v(items.begin(),
+                                                    items.end());
+    if (section == skew && delta < 0) v.pop_back();
+    if (section == skew && delta > 0) v.push_back(v.empty() ? 0 : v.back());
+    for (std::size_t at = 0, step = 1; r.ok && at < v.size(); ++step) {
+      const std::size_t count = std::min(step, v.size() - at);
+      r = (writer.*append)(v.data() + at, count);
+      at += count;
+    }
+  };
+  if (r.ok) feed(0, g.out_offsets(), &store::PackWriter::AppendOutOffsets);
+  if (r.ok) feed(1, g.out_neighbors(), &store::PackWriter::AppendOutNeighbors);
+  if (r.ok) feed(2, g.in_offsets(), &store::PackWriter::AppendInOffsets);
+  if (r.ok) feed(3, g.in_neighbors(), &store::PackWriter::AppendInNeighbors);
+  return r.ok ? writer.Commit() : r;
+}
+
+TEST(PackWriterTest, ChunkedAppendsMatchWritePack) {
+  for (auto& [tag, g] : InterestingGraphs()) {
+    SCOPED_TRACE(tag);
+    TempFile whole(TempPath(tag) + ".gpack");
+    TempFile chunked(TempPath(tag) + ".chunked.gpack");
+    ASSERT_TRUE(store::WritePack(whole.path, g).ok);
+    IoResult r = WriteChunked(chunked.path, g);
+    ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(ReadFile(whole.path) == ReadFile(chunked.path));
+    // The fingerprint built up as the bytes pass is GraphFingerprint.
+    store::GpackInfo info;
+    ASSERT_TRUE(store::ReadPackInfo(chunked.path, &info).ok);
+    EXPECT_EQ(info.fingerprint, store::GraphFingerprint(g));
+    EXPECT_EQ(info.file_bytes,
+              store::PackFileBytes(g.NumNodes(), g.NumEdges()));
+  }
+}
+
+TEST(PackWriterTest, WrongSectionCountFailsAndLeavesNothing) {
+  const Graph g = Graph::FromEdges(4, {{0, 1}, {1, 2}, {2, 0}, {2, 3}});
+  for (int section = 0; section < 4; ++section) {
+    for (int delta : {-1, 1}) {
+      SCOPED_TRACE("section " + std::to_string(section) + " delta " +
+                   std::to_string(delta));
+      TempFile dir(TempPath("dir" + std::to_string(section) + "_" +
+                            std::to_string(delta + 1)));
+      fs::create_directories(dir.path);
+      const std::string pack = dir.path + "/g.gpack";
+      const IoResult r = WriteChunked(pack, g, section, delta);
+      EXPECT_FALSE(r.ok);
+      EXPECT_NE(r.error.find(delta < 0 ? " holds " : " more than "),
+                std::string::npos)
+          << r.error;
+      EXPECT_FALSE(fs::exists(pack));
+      EXPECT_TRUE(StagingFiles(dir.path).empty());
+    }
+  }
+}
+
+TEST(PackWriterTest, DroppedWithoutCommitLeavesNothing) {
+  const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+  TempFile dir(TempPath("dir"));
+  fs::create_directories(dir.path);
+  const std::string pack = dir.path + "/g.gpack";
+  {
+    store::PackWriter writer;
+    ASSERT_TRUE(writer.Begin(pack, g.NumNodes(), g.NumEdges()).ok);
+    ASSERT_TRUE(writer
+                    .AppendOutOffsets(g.out_offsets().data(),
+                                      g.out_offsets().size())
+                    .ok);
+    EXPECT_EQ(StagingFiles(dir.path).size(), 1u);
+  }
+  EXPECT_FALSE(fs::exists(pack));
+  EXPECT_TRUE(StagingFiles(dir.path).empty());
+}
+
+TEST(PackWriterTest, WriteBytesCounterCountsTheFileSize) {
+#if defined(GORDER_OBS_DISABLED)
+  GTEST_SKIP() << "observability compiled out";
+#else
+  // The triangle's last section ends 12 bytes past a 64-byte boundary;
+  // the counter must not round it up.
+  const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+  TempFile tmp(TempPath("triangle") + ".gpack");
+  obs::Counter& bytes = obs::GetCounter("store.pack_write_bytes");
+  const bool enabled = obs::Enabled();
+  obs::SetEnabledForTest(true);
+  const std::uint64_t before = bytes.Value();
+  ASSERT_TRUE(store::WritePack(tmp.path, g).ok);
+  const std::uint64_t delta = bytes.Value() - before;
+  obs::SetEnabledForTest(enabled);
+  EXPECT_EQ(fs::file_size(tmp.path), 396u);
+  EXPECT_EQ(delta, fs::file_size(tmp.path));
+#endif
 }
 
 TEST(Crc32, KnownVectorAndStreaming) {

@@ -134,7 +134,7 @@ gen::ChunkedOptions ChunkedFromFlags(const Flags& flags) {
 }
 
 /// Shared --extmem knobs: --mem-budget=<MB> bounds the streaming buffers
-/// of the out-of-core pipeline (run buffer, merge reads, write window).
+/// of the out-of-core pipeline (run buffer, merge reads).
 /// A budget below 1 MB, or one whose byte count overflows int64, exits 2.
 extmem::ExtmemOptions ExtmemFromFlags(const Flags& flags) {
   constexpr std::int64_t kMaxBudgetMb = INT64_MAX >> 20;
@@ -150,13 +150,12 @@ extmem::ExtmemOptions ExtmemFromFlags(const Flags& flags) {
 void ReportExtBuild(const extmem::ExtBuildStats& s) {
   GORDER_LOG_INFO(
       "extmem build: %llu edges ingested -> %llu final, %llu runs "
-      "(%.1f MB scratch), %llu merge passes, %llu window remaps\n",
+      "(%.1f MB scratch), %llu merge passes\n",
       static_cast<unsigned long long>(s.edges_ingested),
       static_cast<unsigned long long>(s.edges_final),
       static_cast<unsigned long long>(s.runs_written),
       static_cast<double>(s.run_bytes) / (1 << 20),
-      static_cast<unsigned long long>(s.merge_passes),
-      static_cast<unsigned long long>(s.window_remaps));
+      static_cast<unsigned long long>(s.merge_passes));
 }
 
 int WritePermMap(const std::string& map_path, const std::vector<NodeId>& perm) {

@@ -11,6 +11,7 @@
 #include "obs/trace.h"
 #include "util/atomic_file.h"
 #include "util/failpoint.h"
+#include "util/radix_sort.h"
 
 namespace gorder::extmem {
 
@@ -40,54 +41,20 @@ inline bool EdgeLess(const Edge& a, const Edge& b) {
   return a.src != b.src ? a.src < b.src : a.dst < b.dst;
 }
 
-/// Widest radix-sort digit: a pass's 2^12 counters (32 KB) fit in L1.
-constexpr int kMaxDigitBits = 12;
-
-/// LSD radix sort of `count` edges by (src, dst), moving them between
-/// `edges` and `scratch` (each `count` long); returns whichever holds the
-/// result. The key packs src above dst in just the bits the largest id
-/// needs and cuts it into equal digits of at most kMaxDigitBits, so
-/// small ids take few passes, and a digit every edge shares takes none.
+/// Sorts `count` edges by (src, dst) through `scratch` (util::RadixSort);
+/// returns whichever of the two holds the result. The key packs src above
+/// dst in just the bits the largest id needs, so small ids take few passes.
 Edge* RadixSortEdges(Edge* edges, Edge* scratch, std::size_t count) {
   NodeId ids = 0;
   for (std::size_t i = 0; i < count; ++i) ids |= edges[i].src | edges[i].dst;
   const int id_bits = std::bit_width(ids);
-  if (id_bits == 0) return edges;  // empty, or every edge is (0, 0)
-  const int key_bits = 2 * id_bits;
-  const int passes = (key_bits + kMaxDigitBits - 1) / kMaxDigitBits;
-  const int digit_bits = (key_bits + passes - 1) / passes;
-  const std::size_t radix = std::size_t{1} << digit_bits;
-  const std::uint64_t mask = radix - 1;
-  auto key = [id_bits](const Edge& e) {
-    return (std::uint64_t{e.src} << id_bits) | e.dst;
-  };
-  // Every pass's digit histogram in one read of the input.
-  std::vector<std::size_t> counts(static_cast<std::size_t>(passes) * radix);
-  for (std::size_t i = 0; i < count; ++i) {
-    const std::uint64_t k = key(edges[i]);
-    for (int p = 0; p < passes; ++p) {
-      ++counts[p * radix + ((k >> (p * digit_bits)) & mask)];
-    }
-  }
-  Edge* from = edges;
-  Edge* to = scratch;
-  for (int p = 0; p < passes; ++p) {
-    std::size_t* next = counts.data() + p * radix;
-    const int shift = p * digit_bits;
-    if (next[(key(from[0]) >> shift) & mask] == count) continue;
-    std::size_t sum = 0;
-    for (std::size_t d = 0; d < radix; ++d) {
-      const std::size_t c = next[d];
-      next[d] = sum;
-      sum += c;
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      const Edge e = from[i];
-      to[next[(key(e) >> shift) & mask]++] = e;
-    }
-    std::swap(from, to);
-  }
-  return from;
+  std::vector<std::size_t> counts;
+  return util::RadixSort(
+      edges, scratch, count, 2 * id_bits,
+      [id_bits](const Edge& e) {
+        return (std::uint64_t{e.src} << id_bits) | e.dst;
+      },
+      counts);
 }
 
 }  // namespace

@@ -2,11 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
 #include "util/parallel.h"
+#include "util/radix_sort.h"
 
 namespace gorder {
 
@@ -39,6 +41,40 @@ namespace {
 
 constexpr std::size_t kEdgeGrain = 1 << 15;
 constexpr std::size_t kNodeGrain = 1 << 11;
+
+/// The radix sort's buffers, owned by one ParallelFor chunk and reused
+/// from list to list. Allocating the histograms once per chunk instead
+/// of once per list also keeps those small blocks from fragmenting the
+/// heap the large CSR arrays are carved from.
+struct SortScratch {
+  std::vector<NodeId> ids;
+  std::vector<std::size_t> counts;
+};
+
+/// Sorts one adjacency list ascending: std::sort up to
+/// kListRadixCrossover ids, util::RadixSort over the bits the list's ids
+/// use above it. A long list that is already in order (FromEdges of a
+/// sorted edge list) is left as it is: the radix passes would cost more
+/// there than std::sort's best case.
+void SortList(NodeId* first, NodeId* last, SortScratch& scratch) {
+  const auto len = static_cast<std::size_t>(last - first);
+  if (len <= kListRadixCrossover) {
+    std::sort(first, last);
+    return;
+  }
+  NodeId ids = *first;
+  bool in_order = true;
+  for (const NodeId* p = first + 1; p != last; ++p) {
+    ids |= *p;
+    in_order &= p[-1] <= *p;
+  }
+  if (in_order) return;
+  if (scratch.ids.size() < len) scratch.ids.resize(len);
+  const NodeId* sorted = util::RadixSort(
+      first, scratch.ids.data(), len, std::bit_width(ids),
+      [](NodeId v) { return v; }, scratch.counts);
+  if (sorted != first) std::copy(sorted, sorted + len, first);
+}
 
 /// Builds one CSR side directly from the unsorted edge list: counting-sort
 /// scatter into per-node buckets, per-node sort, optional in-place
@@ -90,9 +126,10 @@ void BuildCsrImpl(NodeId num_nodes, const std::vector<Edge>& edges,
   });
   if (keep_duplicates) {
     ParallelFor(0, n, kNodeGrain, [&](std::size_t b, std::size_t e) {
+      SortScratch scratch;
       for (std::size_t v = b; v < e; ++v) {
-        std::sort(neigh.begin() + static_cast<std::ptrdiff_t>(offsets[v]),
-                  neigh.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]));
+        SortList(neigh.data() + offsets[v], neigh.data() + offsets[v + 1],
+                 scratch);
       }
     });
     return;
@@ -101,10 +138,11 @@ void BuildCsrImpl(NodeId num_nodes, const std::vector<Edge>& edges,
   // arrays — skipped entirely when nothing was removed (clean inputs).
   std::vector<EdgeId> kept(n + 1, 0);
   ParallelFor(0, n, kNodeGrain, [&](std::size_t b, std::size_t e) {
+    SortScratch scratch;
     for (std::size_t v = b; v < e; ++v) {
-      auto first = neigh.begin() + static_cast<std::ptrdiff_t>(offsets[v]);
-      auto last = neigh.begin() + static_cast<std::ptrdiff_t>(offsets[v + 1]);
-      std::sort(first, last);
+      NodeId* first = neigh.data() + offsets[v];
+      NodeId* last = neigh.data() + offsets[v + 1];
+      SortList(first, last, scratch);
       kept[v + 1] = static_cast<EdgeId>(std::unique(first, last) - first);
     }
   });
@@ -154,13 +192,13 @@ void RelabelCsr(NodeId num_nodes, const ArrayRef<EdgeId>& old_offsets,
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
   neigh.resize(old_neigh.size());
   ParallelFor(0, n, kNodeGrain, [&](std::size_t b, std::size_t e) {
+    SortScratch scratch;
     for (std::size_t v = b; v < e; ++v) {
       EdgeId out = offsets[perm[v]];
       for (EdgeId i = old_offsets[v]; i < old_offsets[v + 1]; ++i) {
         neigh[out++] = perm[old_neigh[i]];
       }
-      std::sort(neigh.begin() + static_cast<std::ptrdiff_t>(offsets[perm[v]]),
-                neigh.begin() + static_cast<std::ptrdiff_t>(out));
+      SortList(neigh.data() + offsets[perm[v]], neigh.data() + out, scratch);
     }
   });
 }

@@ -18,6 +18,12 @@ struct Edge {
   friend bool operator==(const Edge&, const Edge&) = default;
 };
 
+/// FromEdges and Relabel sort an adjacency list of up to this many ids
+/// with std::sort and a longer one with util::RadixSort: the measured
+/// length where the radix sort's fixed cost (clearing and summing its
+/// digit counters) stops outweighing std::sort's n log n (DESIGN.md §9).
+inline constexpr std::size_t kListRadixCrossover = 64;
+
 /// Immutable directed graph in Compressed Sparse Row format.
 ///
 /// Both out-adjacency and in-adjacency are materialised: the paper's

@@ -9,6 +9,7 @@
 #include <vector>
 
 #ifdef __linux__
+#include <sched.h>
 #include <sys/utsname.h>
 #include <unistd.h>
 #endif
@@ -107,6 +108,7 @@ void WriteEnvJson(JsonWriter& json, const EnvFingerprint& env) {
   json.EndObject();
   json.KV("threads", env.threads);
   json.KV("hardware_concurrency", env.hardware_concurrency);
+  json.KV("affinity_cpus", env.affinity_cpus);
   json.KV("obs_enabled", env.obs_enabled);
   json.KV("hw_counters_available", env.hw_counters_available);
   json.EndObject();
@@ -182,6 +184,13 @@ EnvFingerprint CollectEnvFingerprint() {
   env.threads = NumThreads();
   env.hardware_concurrency =
       static_cast<int>(std::thread::hardware_concurrency());
+#ifdef __linux__
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  if (sched_getaffinity(0, sizeof(cpus), &cpus) == 0) {
+    env.affinity_cpus = CPU_COUNT(&cpus);
+  }
+#endif
   env.obs_enabled = Enabled();
   env.hw_counters_available = cachesim::HwCounters::Available();
   return env;

@@ -27,7 +27,8 @@ inline constexpr int kReportSchemaVersion = 1;
 // Minor 3: "windows" section — per-WindowedHistogram 10s/60s
 //          count/sum/p50/p99/p999 at report time (the live-latency view
 //          the daemon exposes via kStats and /metrics).
-inline constexpr int kReportSchemaMinorVersion = 3;
+// Minor 4: env.affinity_cpus — the CPUs the process may run on.
+inline constexpr int kReportSchemaMinorVersion = 4;
 
 /// Host/build identity captured in every report, so a number is never
 /// compared against a number from a different machine unknowingly.
@@ -42,6 +43,9 @@ struct EnvFingerprint {
   long line_bytes = 0;
   int threads = 0;          // gorder::NumThreads() at report time
   int hardware_concurrency = 0;
+  // CPUs in the sched_getaffinity mask; -1 if the call fails. Below
+  // hardware_concurrency when a cpuset or taskset confines the process.
+  int affinity_cpus = -1;
   bool obs_enabled = false;
   bool hw_counters_available = false;
 };

@@ -63,7 +63,9 @@ void PutF64(std::string* out, double v) {
 
 bool WireReader::GetBytes(void* out, std::size_t n) {
   if (len_ - pos_ < n) return false;
-  std::memcpy(out, data_ + pos_, n);
+  // An empty destination vector hands over a null `out`; memcpy must not
+  // see it even for zero bytes.
+  if (n > 0) std::memcpy(out, data_ + pos_, n);
   pos_ += n;
   return true;
 }

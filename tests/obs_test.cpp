@@ -221,6 +221,14 @@ TEST(ReportTest, EnvFingerprintIsPopulated) {
   EXPECT_FALSE(env.compiler.empty());
   EXPECT_FALSE(env.os.empty());
   EXPECT_GE(env.threads, 1);
+#ifdef __linux__
+  // The affinity mask is a subset of the online CPUs.
+  EXPECT_GE(env.affinity_cpus, 1);
+  EXPECT_LE(env.affinity_cpus, env.hardware_concurrency);
+#endif
+  EXPECT_NE(RenderRunReportJson().find("\"affinity_cpus\":" +
+                                       std::to_string(env.affinity_cpus)),
+            std::string::npos);
 }
 
 // Regression: the trace writer used to fopen the final path directly, so
@@ -485,7 +493,7 @@ TEST(ReportTest, WindowsSectionCarriesSchemaMinor3) {
   ResetAllWindowed();
   GetWindowedHistogram("obs_test.report_win").Record(9);
   std::string json = RenderRunReportJson();
-  EXPECT_NE(json.find("\"schema_minor\":3"), std::string::npos);
+  EXPECT_NE(json.find("\"schema_minor\":4"), std::string::npos);
   EXPECT_NE(json.find("\"windows\":"), std::string::npos);
   EXPECT_NE(json.find("\"obs_test.report_win\""), std::string::npos);
   EXPECT_NE(json.find("\"10s\""), std::string::npos);

@@ -478,6 +478,46 @@ TEST(ServeProtocol, BadFrameOnOrderEdgeCountMismatch) {
   EXPECT_NE(error.find("edge count"), std::string::npos);
 }
 
+// Regression: an empty destination vector hands WireReader::GetBytes a
+// null pointer, and memcpy from or to null is undefined even for zero
+// bytes (UBSan stops there). Two decodes reach it: a kOrder request with
+// no edges, which the server decodes from client bytes, and a kNeighbors
+// reply for a node without out-neighbours, read the way Client::Neighbors
+// reads it.
+TEST(ServeProtocol, EmptyEdgeListAndNeighborListDecode) {
+  Request req;
+  req.id = 4;
+  req.opcode = Opcode::kOrder;
+  req.method = "BOBA";
+  req.num_nodes = 5;
+  std::string frame;
+  AppendRequest(&frame, req);
+  Request back;
+  ASSERT_EQ(Decode(frame, &back), DecodeResult::kOk);
+  EXPECT_EQ(back.num_nodes, 5u);
+  EXPECT_TRUE(back.edges.empty());
+
+  std::string body;
+  PutU32(&body, 0);  // count, then no ids
+  std::string reply;
+  AppendResponse(&reply, {6, Status::kOk, 1}, body);
+  std::size_t consumed = 0;
+  ResponseHeader header;
+  const std::byte* reply_body = nullptr;
+  std::size_t body_len = 0;
+  ASSERT_EQ(DecodeResponse(reinterpret_cast<const std::byte*>(reply.data()),
+                           reply.size(), &consumed, &header, &reply_body,
+                           &body_len, nullptr),
+            DecodeResult::kOk);
+  WireReader r(reply_body, body_len);
+  std::uint32_t count = 1;
+  ASSERT_TRUE(r.GetU32(&count));
+  EXPECT_EQ(count, 0u);
+  std::vector<NodeId> neighbors(count);
+  ASSERT_TRUE(r.GetBytes(neighbors.data(), r.remaining()));
+  EXPECT_TRUE(r.exhausted());
+}
+
 TEST(ServeProtocol, TwoFramesBackToBackDecodeIndependently) {
   Request a, b;
   a.id = 1;

@@ -25,6 +25,8 @@ Minor 3 added the top-level "windows" section: per-WindowedHistogram
 {"10s": {...}, "60s": {...}} latency snapshots, each window carrying
 count/sum/p50/p99/p999 as non-negative integers. Absent in pre-minor-3
 reports; empty for runs that never record into a windowed histogram.
+Minor 4 added env.affinity_cpus: the CPU count of the process's
+sched_getaffinity mask, or -1 where that call failed.
 """
 
 import argparse
@@ -49,10 +51,10 @@ def expect(cond, msg):
     return cond
 
 
-def check_env(env):
+def check_env(env, minor):
     if not expect(isinstance(env, dict), "env must be an object"):
         return
-    for key, kind in [
+    keys = [
         ("cpu_model", str),
         ("compiler", str),
         ("git_sha", str),
@@ -62,8 +64,14 @@ def check_env(env):
         ("obs_enabled", bool),
         ("hw_counters_available", bool),
         ("cache", dict),
-    ]:
-        expect(isinstance(env.get(key), kind),
+    ]
+    if isinstance(minor, int) and minor >= 4:
+        keys.append(("affinity_cpus", int))
+    for key, kind in keys:
+        value = env.get(key)
+        # bool is an int subclass in Python; no int field may be a bool.
+        expect(isinstance(value, kind) and
+               (kind is bool or not isinstance(value, bool)),
                f"env.{key} must be {kind.__name__}")
     cache = env.get("cache", {})
     if isinstance(cache, dict):
@@ -180,7 +188,7 @@ def check_report(doc, require_depth, require_metrics, require_spans):
     expect(isinstance(doc.get("timestamp_unix"), int),
            "timestamp_unix must be int")
     expect(isinstance(doc.get("flags"), dict), "flags must be an object")
-    check_env(doc.get("env"))
+    check_env(doc.get("env"), minor)
     check_metrics(doc.get("metrics", {}))
     check_histograms(doc.get("histograms", {}))
     check_windows(doc.get("windows"))

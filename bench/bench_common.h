@@ -30,11 +30,8 @@ inline void SetActiveStore(const std::string& dir) {
 
 /// Options shared by all paper-reproduction binaries.
 ///   --scale=<f>      multiplies every dataset's node/edge budget
-///   --tier=std|huge  dataset registry tier: "std" (default) is the nine
-///                    in-memory paper stand-ins; "huge" switches
-///                    --datasets validation and the default list to the
-///                    chunked-streaming registry (gen::HugeDatasets)
-///   --datasets=a,b   comma-separated subset (default: the whole tier)
+///   --datasets=a,b   comma-separated subset of the nine paper stand-ins
+///                    (default: all of them)
 ///   --repeats=<n>    timing repetitions (median reported)
 ///   --csv            machine-readable output
 ///   --seed=<s>       RNG seed for generation and randomised orderings
@@ -58,7 +55,6 @@ inline void SetActiveStore(const std::string& dir) {
 ///   --help           print this option summary and exit
 struct BenchOptions {
   double scale = 1.0;
-  gen::DatasetTier tier = gen::DatasetTier::kStandard;
   std::vector<std::string> datasets;
   int repeats = 1;
   bool csv = false;
@@ -75,9 +71,7 @@ struct BenchOptions {
         "\n"
         "Options shared by all paper-reproduction binaries:\n"
         "  --scale=<f>      multiplies every dataset's node/edge budget\n"
-        "  --tier=std|huge  dataset registry tier (huge = the chunked\n"
-        "                   streaming registry, stream-only datasets)\n"
-        "  --datasets=a,b   comma-separated subset (default: whole tier)\n"
+        "  --datasets=a,b   comma-separated subset (default: all nine)\n"
         "  --repeats=<n>    timing repetitions (median reported)\n"
         "  --csv            machine-readable output\n"
         "  --seed=<s>       RNG seed for generation and randomised "
@@ -123,17 +117,7 @@ struct BenchOptions {
     opt.store_dir = flags.GetString("store-dir", "");
     if (!opt.store_dir.empty()) SetActiveStore(opt.store_dir);
     util::ArmFailpointsFlag(flags.GetString("failpoints", ""));
-    const std::string tier_name = flags.GetString("tier", "std");
-    if (tier_name != "std" && tier_name != "huge") {
-      std::fprintf(stderr, "error: --tier must be std or huge (got '%s')\n",
-                   tier_name.c_str());
-      std::exit(2);
-    }
-    opt.tier = tier_name == "huge" ? gen::DatasetTier::kHuge
-                                   : gen::DatasetTier::kStandard;
-    const auto& registry = opt.tier == gen::DatasetTier::kHuge
-                               ? gen::HugeDatasets()
-                               : gen::AllDatasets();
+    const auto& registry = gen::AllDatasets();
     std::string names = flags.GetString("datasets", "");
     if (names.empty()) {
       for (const auto& spec : registry) {

@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
 
   std::vector<std::string> header = {"Ordering"};
   for (std::size_t r = 0; r < grid.methods.size(); ++r) {
-    header.push_back("#" + std::to_string(r + 1));
+    header.push_back('#' + std::to_string(r + 1));
   }
   header.push_back("MeanRank");
   TablePrinter out(header);

@@ -46,11 +46,6 @@ class CompressedGraph {
 
   /// Encoded payload size (gap bytes only; excludes the offset index).
   std::size_t PayloadBytes() const { return bytes_.size(); }
-  /// Total size including the per-node offset/degree index.
-  std::size_t TotalBytes() const {
-    return bytes_.size() + offsets_.size() * sizeof(std::uint64_t) +
-           degree_.size() * sizeof(NodeId);
-  }
   double BitsPerEdge() const {
     return num_edges_ == 0
                ? 0.0

@@ -2,11 +2,9 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 
-#include "graph/edgelist_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/atomic_file.h"
@@ -22,9 +20,6 @@ GORDER_FAILPOINT_DEFINE(fp_run_open, "extmem.run.open");
 GORDER_FAILPOINT_DEFINE(fp_run_write, "extmem.run.write");
 GORDER_FAILPOINT_DEFINE(fp_merge_open, "extmem.merge.open");
 GORDER_FAILPOINT_DEFINE(fp_merge_read, "extmem.merge.read");
-GORDER_FAILPOINT_DEFINE(fp_ingest_open, "extmem.ingest.open");
-GORDER_FAILPOINT_DEFINE(fp_ingest_read, "extmem.ingest.read");
-GORDER_FAILPOINT_DEFINE(fp_ingest_alloc, "extmem.ingest.alloc");
 
 GORDER_OBS_COUNTER(c_runs_written, "extmem.runs_written");
 GORDER_OBS_COUNTER(c_run_bytes, "extmem.run_bytes");
@@ -143,12 +138,6 @@ IoResult RunSet::WriteMerged(MergeStream* merge, std::size_t buffer_edges) {
     }
     return IoResult::Ok();
   });
-}
-
-std::uint64_t RunSet::TotalEdges() const {
-  std::uint64_t total = 0;
-  for (const Run& r : runs_) total += r.edges;
-  return total;
 }
 
 void RunSet::DropRuns(std::size_t count) {
@@ -376,95 +365,5 @@ IoResult ExternalEdgeSorter::Finish(ExtBuildStats* stats) {
 IoResult ExternalEdgeSorter::OpenMerge(MergeStream* merge) const {
   return merge->Open(runs_, 0, runs_.NumRuns(), merge_buffer_edges_);
 }
-
-// ---------------------------------------------------------------------------
-// EdgeListStreamer
-
-namespace internal {
-
-IoResult StreamEdgeListImpl(const std::string& path,
-                            IoResult (*emit)(void* ctx, const Edge* edges,
-                                             std::size_t count),
-                            void* ctx, NodeId* max_node, bool* saw_node) {
-  if (GORDER_FAILPOINT(fp_ingest_open) != util::FaultKind::kNone) {
-    return IoResult::Error("cannot open " + path);
-  }
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return IoResult::Error("cannot open " + path);
-
-  EdgeTextParse parse;
-  std::vector<char> buf;
-  constexpr std::size_t kMaxLine = 64u << 20;  // pathological-line ceiling
-  try {
-    GORDER_FAULT_ALLOC(fp_ingest_alloc);
-    buf.resize(1u << 20);
-  } catch (const std::bad_alloc&) {
-    return IoResult::Error("cannot allocate read buffer for " + path);
-  }
-  std::size_t carry = 0;       // bytes held over from the previous read
-  std::size_t line_base = 1;   // line number of the first carried byte
-  while (true) {
-    const std::size_t want = buf.size() - carry;
-    // A short count here is legitimate (EOF), so a real error is only
-    // detectable via ferror — and an injected fault via the mismatch
-    // between the real transfer and the faulted one.
-    const std::size_t real = std::fread(buf.data() + carry, 1, want, f.get());
-    const std::size_t got = GORDER_FAULT_IO(fp_ingest_read, want, real);
-    if (got != real || std::ferror(f.get())) {
-      return IoResult::Error("short read from " + path);
-    }
-    const std::size_t filled = carry + got;
-    const bool eof = got < want;
-    // Parse up to the last complete line (or everything at EOF).
-    std::size_t region = filled;
-    if (!eof) {
-      while (region > 0 && buf[region - 1] != '\n') --region;
-      if (region == 0) {
-        // No newline in the whole buffer: an over-long line. Grow (rare)
-        // up to the ceiling rather than splitting a token.
-        if (filled == buf.size()) {
-          if (buf.size() >= kMaxLine) {
-            return IoResult::Error(path + ": line exceeds " +
-                                   std::to_string(kMaxLine) + " bytes");
-          }
-          try {
-            GORDER_FAULT_ALLOC(fp_ingest_alloc);
-            buf.resize(buf.size() * 2);
-          } catch (const std::bad_alloc&) {
-            return IoResult::Error("cannot allocate read buffer for " + path);
-          }
-        }
-        carry = filled;
-        continue;
-      }
-    }
-    parse.edges.clear();
-    if (!ParseEdgeText(buf.data(), 0, region, &parse)) {
-      std::size_t line = line_base;
-      for (std::size_t i = 0; i < parse.error_offset; ++i) {
-        if (buf[i] == '\n') ++line;
-      }
-      return IoResult::Error(path + ":" + std::to_string(line) + ": " +
-                             parse.error_kind);
-    }
-    if (!parse.edges.empty()) {
-      if (IoResult r = emit(ctx, parse.edges.data(), parse.edges.size());
-          !r.ok) {
-        return r;
-      }
-    }
-    for (std::size_t i = 0; i < region; ++i) {
-      if (buf[i] == '\n') ++line_base;
-    }
-    carry = filled - region;
-    if (carry > 0) std::memmove(buf.data(), buf.data() + region, carry);
-    if (eof) break;
-  }
-  if (max_node != nullptr) *max_node = parse.max_node;
-  if (saw_node != nullptr) *saw_node = parse.saw_node;
-  return IoResult::Ok();
-}
-
-}  // namespace internal
 
 }  // namespace gorder::extmem

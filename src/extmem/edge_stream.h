@@ -84,7 +84,6 @@ class RunSet {
   std::size_t NumRuns() const { return runs_.size(); }
   const std::string& RunPath(std::size_t i) const { return runs_[i].path; }
   std::uint64_t RunEdges(std::size_t i) const { return runs_[i].edges; }
-  std::uint64_t TotalEdges() const;
 
   /// Drops the first `count` runs (deleting their files) — used by
   /// compaction after it merged them into a new run.
@@ -194,41 +193,6 @@ class ExternalEdgeSorter {
   std::uint64_t edges_added_ = 0;
   bool finished_ = false;
 };
-
-/// Streams a whitespace-separated edge list ("src dst" per line, '#'/'%'
-/// comments — ReadEdgeList's grammar, parsed by gorder::ParseEdgeText)
-/// through a bounded read buffer, never materialising the file or the
-/// edge list. Calls `sink` for each parsed chunk. Used by the
-/// `--extmem` CLI ingest path.
-class EdgeListStreamer {
- public:
-  /// Parses `path`, feeding chunks of edges to `sink(edges, count)`.
-  /// Stops and propagates the first sink error. `max_node` receives the
-  /// maximum node id seen (only meaningful when `*saw_node`).
-  template <typename Sink>
-  static IoResult Stream(const std::string& path, Sink&& sink,
-                         NodeId* max_node = nullptr, bool* saw_node = nullptr);
-};
-
-namespace internal {
-
-/// Non-template core of EdgeListStreamer: reads `path` in bounded
-/// chunks, parses complete lines, and invokes `emit(ctx, edges, count)`.
-IoResult StreamEdgeListImpl(const std::string& path,
-                            IoResult (*emit)(void* ctx, const Edge* edges,
-                                             std::size_t count),
-                            void* ctx, NodeId* max_node, bool* saw_node);
-
-}  // namespace internal
-
-template <typename Sink>
-IoResult EdgeListStreamer::Stream(const std::string& path, Sink&& sink,
-                                  NodeId* max_node, bool* saw_node) {
-  auto thunk = [](void* ctx, const Edge* edges, std::size_t count) {
-    return (*static_cast<Sink*>(ctx))(edges, count);
-  };
-  return internal::StreamEdgeListImpl(path, thunk, &sink, max_node, saw_node);
-}
 
 }  // namespace gorder::extmem
 

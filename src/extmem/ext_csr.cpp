@@ -4,6 +4,7 @@
 #include <filesystem>
 #include <new>
 
+#include "graph/edgelist_io.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "store/gpack.h"
@@ -186,8 +187,8 @@ IoResult StreamEdgeListToPack(const std::string& edge_path,
                               ExtBuildStats* stats) {
   ExtPackBuilder builder(options);
   if (IoResult r = builder.Begin(pack_path); !r.ok) return r;
-  IoResult r = EdgeListStreamer::Stream(
-      edge_path, [&](const Edge* edges, std::size_t count) {
+  IoResult r =
+      StreamEdgeList(edge_path, [&](const Edge* edges, std::size_t count) {
         return builder.AddBatch(edges, count);
       });
   if (!r.ok) return r;

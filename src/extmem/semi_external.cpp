@@ -1,24 +1,19 @@
 #include "extmem/semi_external.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cstdint>
 
 #include "obs/trace.h"
 #include "store/gpack.h"
 
-#if defined(__linux__) || defined(__APPLE__)
-#define GORDER_EXTMEM_HAS_MADVISE 1
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
-
 namespace gorder::extmem {
 
 namespace {
 
-#ifdef GORDER_EXTMEM_HAS_MADVISE
 /// Advises the kernel about the access pattern of one mapped CSR array.
-/// Purely advisory: failures (e.g. heap-backed fallback arrays) are
-/// ignored.
+/// Purely advisory: a failure is ignored.
 void Advise(const void* data, std::size_t bytes, int advice) {
   if (data == nullptr || bytes == 0) return;
   const long ps = ::sysconf(_SC_PAGESIZE);
@@ -28,7 +23,6 @@ void Advise(const void* data, std::size_t bytes, int advice) {
   (void)::posix_madvise(reinterpret_cast<void*>(start),
                         bytes + (addr - start), advice);
 }
-#endif
 
 /// Single-pass streaming methods read the CSR front to back; everything
 /// else (Gorder's sliding window above all) touches neighbourhoods on
@@ -57,7 +51,6 @@ IoResult SemiExternalOrder(const std::string& pack_path, order::Method method,
       !r.ok) {
     return r;
   }
-#ifdef GORDER_EXTMEM_HAS_MADVISE
   const int advice = IsSequentialMethod(method) ? POSIX_MADV_SEQUENTIAL
                                                 : POSIX_MADV_NORMAL;
   Advise(graph.out_offsets().data(),
@@ -68,7 +61,6 @@ IoResult SemiExternalOrder(const std::string& pack_path, order::Method method,
          graph.in_offsets().size() * sizeof(EdgeId), advice);
   Advise(graph.in_neighbors().data(),
          graph.in_neighbors().size() * sizeof(NodeId), advice);
-#endif
   if (info != nullptr) {
     info->pack_bytes = graph.MemoryBytes();
     info->zero_copy = graph.IsMapped();

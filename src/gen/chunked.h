@@ -23,6 +23,7 @@
 #include <functional>
 #include <vector>
 
+#include "graph/edgelist_io.h"
 #include "graph/graph.h"
 #include "util/io_result.h"
 #include "util/rng.h"
@@ -32,9 +33,7 @@ namespace gorder::gen {
 struct RmatParams;  // generators.h
 
 /// Receives generated edges chunk by chunk, in ascending chunk order.
-/// The pointer is only valid for the duration of the call. Returning an
-/// error stops the stream; no further chunks are delivered.
-using EdgeSink = std::function<IoResult(const Edge*, std::size_t)>;
+using gorder::EdgeSink;  // graph/edgelist_io.h
 
 /// Knobs for the chunked drivers. Defaults suit the out-of-core
 /// pipeline: 2 MiB of edges per chunk, window sized from the thread

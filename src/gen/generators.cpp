@@ -33,8 +33,8 @@ Graph ErdosRenyi(NodeId n, EdgeId m, Rng& rng) {
     // edge with probability >= 1/2, so expected draws are O(m).
     std::unordered_set<std::uint64_t> seen;
     // Bounded reserve: feasible m can still be huge, and the table
-    // grows on demand anyway — never pre-commit multi-GB in one call
-    // (the ReadBinary bug class from PR 5).
+    // grows on demand anyway — never size one allocation from a count
+    // nothing has bounded yet, which would pre-commit multi-GB at once.
     seen.reserve(static_cast<std::size_t>(
         std::min<std::uint64_t>(m * 2, std::uint64_t{1} << 24)));
     while (seen.size() < m) {

@@ -2,43 +2,37 @@
 #define GORDER_GRAPH_EDGELIST_IO_H_
 
 #include <cstddef>
+#include <functional>
 #include <string>
-#include <vector>
 
 #include "graph/graph.h"
 #include "util/io_result.h"  // IoResult (shared by every IO layer)
 
 namespace gorder {
 
-/// Parse state for edge-list text: the one grammar behind ReadEdgeList
-/// and the out-of-core streamer (extmem::EdgeListStreamer). A line is
-/// leading blanks (space, tab), then either a '#'/'%' comment, nothing
-/// (an empty or blank line, CR-terminated or not, or the blank tail of
-/// the text), or two decimal ids followed by arbitrary trailing text.
-/// Ids above 2^32 - 2 are rejected.
-struct EdgeTextParse {
-  std::vector<Edge> edges;  // appended in text order
-  NodeId max_node = 0;      // largest id seen; valid when saw_node
-  bool saw_node = false;
-  std::size_t error_offset = 0;      // byte offset of the offending line
-  const char* error_kind = nullptr;  // null until a line fails to parse
-};
+/// Receives a stream of edges chunk by chunk: parsed text (StreamEdgeList),
+/// generated chunks (gen/chunked.h), input to an external pack build.
+/// The pointer is only valid for the duration of the call. Returning an
+/// error stops the stream; no further chunks are delivered.
+using EdgeSink = std::function<IoResult(const Edge* edges, std::size_t count)>;
 
-/// Parses the lines in data[begin, end) into `out`. `begin` is at a line
-/// start and `end` at a line boundary or the end of the text. Returns
-/// false at the first malformed line, with out->error_offset and
-/// out->error_kind set.
-bool ParseEdgeText(const char* data, std::size_t begin, std::size_t end,
-                   EdgeTextParse* out);
+/// Streams a whitespace-separated directed edge list ("src dst" per
+/// line) through a bounded read buffer and hands each parsed chunk to
+/// `sink`, never materialising the file. A line is leading blanks (space, tab), then either a
+/// '#'/'%' comment (the SNAP and Konect conventions), nothing (an empty
+/// or blank line, CR-terminated or not, or the blank tail of the text),
+/// or two decimal ids followed by arbitrary trailing text, in a line of
+/// at most 64 MiB. Ids above 2^32 - 2 are rejected; a malformed line
+/// fails as "path:LINE: kind". `max_node` receives the largest id seen,
+/// meaningful when `*saw_node`. ReadEdgeList and
+/// extmem::StreamEdgeListToPack both read through it, so the two accept
+/// the same files and fail the same way.
+IoResult StreamEdgeList(const std::string& path, const EdgeSink& sink,
+                        NodeId* max_node = nullptr, bool* saw_node = nullptr);
 
-/// Reads a whitespace-separated directed edge list ("src dst" per line,
-/// '#' and '%' comment lines skipped — the SNAP and Konect conventions;
-/// grammar at EdgeTextParse). Node ids are used verbatim, so the file's
-/// own numbering is the "Original" ordering, as in the paper.
-///
-/// The file is parsed in parallel chunks split at line boundaries
-/// (util/parallel.h); the resulting graph is identical at any thread
-/// count. Lines of arbitrary length are supported.
+/// Reads a text edge list (grammar at StreamEdgeList) into `graph`.
+/// Node ids are used verbatim, so the file's own numbering is the
+/// "Original" ordering, as in the paper.
 IoResult ReadEdgeList(const std::string& path, Graph* graph);
 
 /// Writes "src dst" lines with a SNAP-style header comment, through a
@@ -46,14 +40,6 @@ IoResult ReadEdgeList(const std::string& path, Graph* graph);
 /// stage to a temp file and rename into place (util/atomic_file), so a
 /// failure never leaves a truncated file at `path`.
 IoResult WriteEdgeList(const std::string& path, const Graph& graph);
-
-/// Binary format: magic, counts, then raw CSR arrays. Round-trips exactly
-/// and loads without re-sorting; used to cache generated datasets between
-/// benchmark runs. The header counts are validated against the file size
-/// before sizing any allocation; writes are staged + renamed like
-/// WriteEdgeList.
-IoResult ReadBinary(const std::string& path, Graph* graph);
-IoResult WriteBinary(const std::string& path, const Graph& graph);
 
 }  // namespace gorder
 

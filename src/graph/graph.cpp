@@ -1,7 +1,6 @@
 #include "graph/graph.h"
 
 #include <algorithm>
-#include <atomic>
 #include <bit>
 
 #include "obs/metrics.h"
@@ -82,48 +81,32 @@ void SortList(NodeId* first, NodeId* last, SortScratch& scratch) {
 /// (out-CSR), `reverse=true` keys on dst (in-CSR); the two sides are
 /// independent, so FromEdges runs them concurrently.
 ///
-/// `kConcurrent` selects atomic vs plain bucket counters: the atomic RMWs
-/// only pay for themselves when the inner loops actually run on multiple
-/// threads; the serial instantiation keeps 1-thread throughput at the
-/// level of the historical serial implementation.
+/// The count and the scatter are plain loops: split across threads they
+/// need an atomic increment per edge on shared counters, and that ran
+/// slower at every thread count above one (DESIGN.md §9). The per-node
+/// passes below run on the pool.
 ///
-/// Deterministic at any thread count: scatter order within a bucket is
-/// scheduling-dependent, but every bucket is sorted afterwards, and the
-/// dedup keeps one copy of each distinct value, so the final arrays depend
-/// only on the edge multiset.
-template <bool kConcurrent>
-void BuildCsrImpl(NodeId num_nodes, const std::vector<Edge>& edges,
-                  bool reverse, bool keep_self_loops, bool keep_duplicates,
-                  std::vector<EdgeId>& offsets, std::vector<NodeId>& neigh) {
+/// Deterministic at any thread count: the scatter fills every bucket in
+/// edge-list order, every bucket is sorted afterwards, and the dedup keeps
+/// one copy of each distinct value, so the final arrays depend only on the
+/// edge multiset.
+void BuildCsr(NodeId num_nodes, const std::vector<Edge>& edges, bool reverse,
+              bool keep_self_loops, bool keep_duplicates,
+              std::vector<EdgeId>& offsets, std::vector<NodeId>& neigh) {
   const std::size_t n = num_nodes;
-  auto bump = [](EdgeId& slot) -> EdgeId {
-    if constexpr (kConcurrent) {
-      return std::atomic_ref<EdgeId>(slot).fetch_add(
-          1, std::memory_order_relaxed);
-    } else {
-      return slot++;
-    }
-  };
   offsets.assign(n + 1, 0);
-  ParallelFor(0, edges.size(), kEdgeGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Edge& edge = edges[i];
-      if (!keep_self_loops && edge.src == edge.dst) continue;
-      bump(offsets[(reverse ? edge.dst : edge.src) + 1]);
-    }
-  });
+  for (const Edge& edge : edges) {
+    if (!keep_self_loops && edge.src == edge.dst) continue;
+    ++offsets[(reverse ? edge.dst : edge.src) + 1];
+  }
   for (std::size_t v = 0; v < n; ++v) offsets[v + 1] += offsets[v];
   neigh.resize(offsets[n]);
   std::vector<EdgeId> cursor(offsets.begin(), offsets.end() - 1);
-  ParallelFor(0, edges.size(), kEdgeGrain, [&](std::size_t b, std::size_t e) {
-    for (std::size_t i = b; i < e; ++i) {
-      const Edge& edge = edges[i];
-      if (!keep_self_loops && edge.src == edge.dst) continue;
-      NodeId key = reverse ? edge.dst : edge.src;
-      NodeId val = reverse ? edge.src : edge.dst;
-      neigh[bump(cursor[key])] = val;
-    }
-  });
+  for (const Edge& edge : edges) {
+    if (!keep_self_loops && edge.src == edge.dst) continue;
+    const NodeId key = reverse ? edge.dst : edge.src;
+    neigh[cursor[key]++] = reverse ? edge.src : edge.dst;
+  }
   if (keep_duplicates) {
     ParallelFor(0, n, kNodeGrain, [&](std::size_t b, std::size_t e) {
       SortScratch scratch;
@@ -158,18 +141,6 @@ void BuildCsrImpl(NodeId num_nodes, const std::vector<Edge>& edges,
   });
   offsets = std::move(kept);
   neigh = std::move(packed);
-}
-
-void BuildCsr(NodeId num_nodes, const std::vector<Edge>& edges, bool reverse,
-              bool keep_self_loops, bool keep_duplicates,
-              std::vector<EdgeId>& offsets, std::vector<NodeId>& neigh) {
-  if (NumThreads() > 1) {
-    BuildCsrImpl<true>(num_nodes, edges, reverse, keep_self_loops,
-                       keep_duplicates, offsets, neigh);
-  } else {
-    BuildCsrImpl<false>(num_nodes, edges, reverse, keep_self_loops,
-                        keep_duplicates, offsets, neigh);
-  }
 }
 
 /// Direct CSR -> CSR renumbering under `perm[old] = new`: degree

@@ -7,7 +7,6 @@
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "util/logging.h"
-#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
@@ -188,22 +187,6 @@ double TimeWorkload(const Graph& graph, Workload workload,
   (void)sink;
   std::sort(times.begin(), times.end());
   return times[times.size() / 2];
-}
-
-std::vector<double> TimeWorkloadSweep(const Graph& graph, Workload workload,
-                                      const WorkloadConfig& config,
-                                      const std::vector<NodeId>& perm,
-                                      const std::vector<int>& thread_counts,
-                                      int repeats) {
-  const int previous = NumThreads();
-  std::vector<double> times;
-  times.reserve(thread_counts.size());
-  for (int t : thread_counts) {
-    SetNumThreads(t);
-    times.push_back(TimeWorkload(graph, workload, config, perm, repeats));
-  }
-  SetNumThreads(previous);
-  return times;
 }
 
 double ModelWorkloadCycles(const Graph& graph, Workload workload,

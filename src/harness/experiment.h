@@ -53,16 +53,6 @@ double TimeWorkload(const Graph& graph, Workload workload,
                     const WorkloadConfig& config,
                     const std::vector<NodeId>& perm, int repeats = 3);
 
-/// Thread sweep: times the workload at each budget in `thread_counts`
-/// (median of `repeats`), restoring the previous global budget before
-/// returning. Entries align with `thread_counts`; kernels are
-/// bit-identical across the sweep, so only the time varies.
-std::vector<double> TimeWorkloadSweep(const Graph& graph, Workload workload,
-                                      const WorkloadConfig& config,
-                                      const std::vector<NodeId>& perm,
-                                      const std::vector<int>& thread_counts,
-                                      int repeats = 3);
-
 /// Deterministic runtime model: replays the workload through a fresh
 /// cache hierarchy of the given geometry and returns the modelled total
 /// cycles (compute + stall). This is the repo's substitute for wall-clock

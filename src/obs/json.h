@@ -101,9 +101,6 @@ struct JsonValue {
   // Insertion-ordered lookup is unnecessary; metric maps are sorted.
   std::map<std::string, JsonValue> object;
 
-  bool IsObject() const { return kind == Kind::kObject; }
-  bool IsNumber() const { return kind == Kind::kNumber; }
-
   /// Object member lookup; nullptr when absent or not an object.
   const JsonValue* Find(const std::string& key) const {
     if (kind != Kind::kObject) return nullptr;

@@ -172,12 +172,4 @@ MetricsDump DumpMetrics() {
   return dump;
 }
 
-void ResetAllMetrics() {
-  Registry& r = Registry::Get();
-  std::lock_guard<std::mutex> lock(r.mu);
-  for (auto& [name, c] : r.counters) c->Reset();
-  for (auto& [name, g] : r.gauges) g->Reset();
-  for (auto& [name, h] : r.histograms) h->Reset();
-}
-
 }  // namespace gorder::obs

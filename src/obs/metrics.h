@@ -177,9 +177,6 @@ struct MetricsDump {
 /// output regardless of registration order).
 MetricsDump DumpMetrics();
 
-/// Zeroes every registered metric (registrations persist). Test support.
-void ResetAllMetrics();
-
 }  // namespace gorder::obs
 
 /// Instrumentation macros. `GORDER_OBS_COUNTER` declares a namespace- or

@@ -124,15 +124,9 @@ Span::~Span() {
 
 void StartCapture() { g_capture.store(true, std::memory_order_relaxed); }
 void StopCapture() { g_capture.store(false, std::memory_order_relaxed); }
-bool CaptureActive() {
-  return g_capture.load(std::memory_order_relaxed);
-}
 
 void SetHwSpansEnabled(bool enabled) {
   g_hw_spans.store(enabled, std::memory_order_relaxed);
-}
-bool HwSpansEnabled() {
-  return g_hw_spans.load(std::memory_order_relaxed);
 }
 
 std::vector<SpanRecord> SnapshotSpans() {

@@ -67,12 +67,10 @@ class Span {
 /// ClearSpans(); benches capture for the whole process life.
 void StartCapture();
 void StopCapture();
-bool CaptureActive();
 
 /// Opt-in: collect perf_event counters per span (depth < kHwSpanMaxDepth).
 /// Callers should check `cachesim::HwCounters::Available()` first.
 void SetHwSpansEnabled(bool enabled);
-bool HwSpansEnabled();
 
 /// Copy of all records so far (open spans have dur_s < 0).
 std::vector<SpanRecord> SnapshotSpans();

@@ -1,17 +1,11 @@
 #include "store/mapped_file.h"
 
-#include <cstdio>
-#include <cstring>
-
-#include "util/failpoint.h"
-
-#if defined(__linux__) || defined(__APPLE__)
-#define GORDER_STORE_HAS_MMAP 1
 #include <fcntl.h>
 #include <sys/mman.h>
 #include <sys/stat.h>
 #include <unistd.h>
-#endif
+
+#include "util/failpoint.h"
 
 namespace gorder::store {
 
@@ -24,7 +18,6 @@ GORDER_FAILPOINT_DEFINE(fp_map_mmap, "store.map.mmap");
 IoResult MappedFile::Map(const std::string& path,
                          std::shared_ptr<MappedFile>* out) {
   auto file = std::shared_ptr<MappedFile>(new MappedFile());
-#ifdef GORDER_STORE_HAS_MMAP
   if (GORDER_FAILPOINT(fp_map_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + path);
   }
@@ -50,45 +43,14 @@ IoResult MappedFile::Map(const std::string& path,
   // The mapping outlives the descriptor; close it now.
   ::close(fd);
   file->size_ = size;
-  file->mmapped_ = true;
-#else
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) return IoResult::Error("cannot open " + path);
-  if (std::fseek(f, 0, SEEK_END) != 0) {
-    std::fclose(f);
-    return IoResult::Error("cannot seek " + path);
-  }
-  long size = std::ftell(f);
-  if (size < 0) {
-    std::fclose(f);
-    return IoResult::Error("cannot stat " + path);
-  }
-  std::rewind(f);
-  auto* buf = size > 0 ? new std::byte[static_cast<std::size_t>(size)]
-                       : nullptr;
-  if (size > 0 && std::fread(buf, 1, static_cast<std::size_t>(size), f) !=
-                      static_cast<std::size_t>(size)) {
-    delete[] buf;
-    std::fclose(f);
-    return IoResult::Error("short read from " + path);
-  }
-  std::fclose(f);
-  file->data_ = buf;
-  file->size_ = static_cast<std::size_t>(size);
-  file->mmapped_ = false;
-#endif
   *out = std::move(file);
   return IoResult::Ok();
 }
 
 MappedFile::~MappedFile() {
-#ifdef GORDER_STORE_HAS_MMAP
   if (data_ != nullptr) {
     ::munmap(const_cast<std::byte*>(data_), size_);
   }
-#else
-  delete[] data_;
-#endif
 }
 
 }  // namespace gorder::store

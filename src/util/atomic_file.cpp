@@ -1,16 +1,13 @@
 #include "util/atomic_file.h"
 
+#include <fcntl.h>
+#include <unistd.h>
+
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
 
 #include "util/failpoint.h"
-
-#if defined(__linux__) || defined(__APPLE__)
-#define GORDER_UTIL_HAS_POSIX_SYNC 1
-#include <fcntl.h>
-#include <unistd.h>
-#endif
 
 namespace gorder::util {
 
@@ -23,27 +20,19 @@ GORDER_FAILPOINT_DEFINE(fp_rename, "util.atomic.rename");
 std::string StagingPath(const std::string& path) {
   static std::atomic<std::uint64_t> counter{0};
   const std::uint64_t seq = counter.fetch_add(1, std::memory_order_relaxed);
-#ifdef GORDER_UTIL_HAS_POSIX_SYNC
   const long pid = static_cast<long>(::getpid());
-#else
-  const long pid = 0;
-#endif
   return path + ".tmp." + std::to_string(pid) + "." + std::to_string(seq);
 }
 
 bool FlushAndSync(std::FILE* f) {
   if (!GORDER_FAULT_OK(fp_sync, std::fflush(f) == 0)) return false;
-#ifdef GORDER_UTIL_HAS_POSIX_SYNC
-  if (::fsync(::fileno(f)) != 0) return false;
-#endif
-  return true;
+  return ::fsync(::fileno(f)) == 0;
 }
 
 void SyncParentDir(const std::string& path) {
   // Best-effort by contract: a failure here (injected or real) is
   // tolerated silently — the rename itself already happened.
   if (GORDER_FAILPOINT(fp_dirsync) != FaultKind::kNone) return;
-#ifdef GORDER_UTIL_HAS_POSIX_SYNC
   const std::filesystem::path p(path);
   const std::string dir =
       p.has_parent_path() ? p.parent_path().string() : std::string(".");
@@ -52,9 +41,6 @@ void SyncParentDir(const std::string& path) {
     ::fsync(fd);
     ::close(fd);
   }
-#else
-  (void)path;
-#endif
 }
 
 IoResult WriteFileAtomic(const std::string& path, const void* data,

@@ -13,7 +13,7 @@
 /// the `GORDER_FAILPOINTS` environment variable or the `--failpoints`
 /// flag with specs like
 ///
-///   store.pack_write.fsync=err@3;graph.read_binary.alloc=oom@1
+///   store.pack_write.write=err@3;graph.read_edgelist.alloc=oom@1
 ///
 /// Grammar: `name=kind[@N[+]]`, separated by `;` or `,`. `kind` is one
 /// of `err`, `short`, `enospc`, `oom`; `@N` (default 1, counted from

@@ -257,10 +257,14 @@ TEST(ExternalEdgeSorterTest, SortsIdsOfEveryWidth) {
 // ---------------------------------------------------------------------------
 // Text edge-list streaming ingest
 
+// The grammar corners, checked against hand-built edge lists: the
+// stream must deliver exactly these edges in text order, and
+// ReadEdgeList (which reads through the same StreamEdgeList) must build
+// exactly their graph.
 TEST(EdgeListStreamTest, MatchesReadEdgeList) {
   struct Case {
     std::string text;
-    NodeId max_node;
+    std::vector<Edge> edges;
   };
   const Case cases[] = {
       {"# comment header\n"
@@ -268,10 +272,10 @@ TEST(EdgeListStreamTest, MatchesReadEdgeList) {
        "  3\t4  trailing junk\n"
        "4 4\n"   // self-loop
        "1 2\n",  // duplicate
-       4},
-      {"0 1\r\n\r\n1 2\r\n", 2},  // CRLF text with an empty line
-      {"0 1\n\r\n1 2\n", 2},        // LF text with one empty CRLF line
-      {"0 1\n1 2\n   ", 2},         // blank tail, no final newline
+       {{0, 1}, {1, 2}, {2, 0}, {3, 4}, {4, 4}, {1, 2}}},
+      {"0 1\r\n\r\n1 2\r\n", {{0, 1}, {1, 2}}},  // CRLF, an empty line
+      {"0 1\n\r\n1 2\n", {{0, 1}, {1, 2}}},  // LF, one empty CRLF line
+      {"0 1\n1 2\n   ", {{0, 1}, {1, 2}}},   // blank tail, no newline
   };
   for (const Case& c : cases) {
     SCOPED_TRACE(::testing::PrintToString(c.text));
@@ -280,14 +284,10 @@ TEST(EdgeListStreamTest, MatchesReadEdgeList) {
       std::ofstream out(txt.path, std::ios::binary);
       out << c.text;
     }
-    Graph expected;
-    IoResult read = ReadEdgeList(txt.path, &expected);
-    ASSERT_TRUE(read.ok) << read.error;
-
     std::vector<Edge> streamed;
     NodeId max_node = 0;
     bool saw_node = false;
-    IoResult r = extmem::EdgeListStreamer::Stream(
+    IoResult r = StreamEdgeList(
         txt.path,
         [&](const Edge* edges, std::size_t count) {
           streamed.insert(streamed.end(), edges, edges + count);
@@ -295,12 +295,19 @@ TEST(EdgeListStreamTest, MatchesReadEdgeList) {
         },
         &max_node, &saw_node);
     ASSERT_TRUE(r.ok) << r.error;
+    EXPECT_TRUE(streamed == c.edges);
     EXPECT_TRUE(saw_node);
-    EXPECT_EQ(max_node, c.max_node);
-    const Graph via_stream =
-        Graph::FromEdges(max_node + 1, std::move(streamed));
-    EXPECT_EQ(expected.out_offsets(), via_stream.out_offsets());
-    EXPECT_EQ(expected.out_neighbors(), via_stream.out_neighbors());
+    NodeId hi = 0;
+    for (const Edge& e : c.edges) hi = std::max({hi, e.src, e.dst});
+    EXPECT_EQ(max_node, hi);
+
+    Graph read;
+    IoResult rr = ReadEdgeList(txt.path, &read);
+    ASSERT_TRUE(rr.ok) << rr.error;
+    const Graph expected = Graph::FromEdges(hi + 1, c.edges);
+    EXPECT_EQ(read.NumNodes(), expected.NumNodes());
+    EXPECT_EQ(read.out_offsets(), expected.out_offsets());
+    EXPECT_EQ(read.out_neighbors(), expected.out_neighbors());
   }
 }
 
@@ -310,9 +317,8 @@ TEST(EdgeListStreamTest, ReportsLineNumberOnError) {
     std::ofstream out(txt.path);
     out << "0 1\n1 2\nnot an edge\n2 3\n";
   }
-  IoResult r = extmem::EdgeListStreamer::Stream(
-      txt.path,
-      [&](const Edge*, std::size_t) { return IoResult::Ok(); });
+  IoResult r = StreamEdgeList(
+      txt.path, [](const Edge*, std::size_t) { return IoResult::Ok(); });
   ASSERT_FALSE(r.ok);
   EXPECT_NE(r.error.find(":3:"), std::string::npos) << r.error;
   EXPECT_NE(r.error.find("malformed"), std::string::npos) << r.error;

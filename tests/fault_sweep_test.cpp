@@ -25,6 +25,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <map>
@@ -51,7 +52,6 @@ constexpr std::uint64_t kSeed = 7;
 /// narrated degradation paths in production code.
 struct PipelineOutcome {
   bool wrote_edgelist = false, read_edgelist = false;
-  bool wrote_binary = false, read_binary = false;
   bool copied_pack = false;
   bool saved_ordering = false, loaded_ordering = false;
   bool wrote_trace = false;
@@ -65,7 +65,6 @@ struct PipelineOutcome {
   bool admin_scraped = false;       // /healthz answered 200 at the end
   std::uint64_t serve_nodes = 0;    // n reported by the daemon's kInfo
   std::uint64_t roundtrip_fp = 0;  // edge-list roundtrip fingerprint
-  std::uint64_t binary_fp = 0;     // binary roundtrip fingerprint
   std::uint64_t cold_fp = 0;       // store.GetDataset, cold
   std::uint64_t warm_fp = 0;       // store.GetDataset, warm
   std::uint64_t copy_fp = 0;       // LoadPack(kCopy)
@@ -92,7 +91,7 @@ PipelineOutcome RunPipeline(const std::string& dir) {
   };
   const Graph base = gen::MakeDataset(kDataset, kScale, kSeed);
 
-  // 1. Edge-list roundtrip (the legacy text loaders/writers).
+  // 1. Edge-list roundtrip (the text reader and writer).
   const std::string txt = dir + "/g.txt";
   out.wrote_edgelist = note(WriteEdgeList(txt, base));
   if (out.wrote_edgelist) {
@@ -101,16 +100,7 @@ PipelineOutcome RunPipeline(const std::string& dir) {
     if (out.read_edgelist) out.roundtrip_fp = store::GraphFingerprint(g);
   }
 
-  // 2. Legacy binary roundtrip.
-  const std::string bin = dir + "/g.bin";
-  out.wrote_binary = note(WriteBinary(bin, base));
-  if (out.wrote_binary) {
-    Graph g;
-    out.read_binary = note(ReadBinary(bin, &g));
-    if (out.read_binary) out.binary_fp = store::GraphFingerprint(g);
-  }
-
-  // 3. Artifact store: cold pack write, warm zero-copy load. GetDataset
+  // 2. Artifact store: cold pack write, warm zero-copy load. GetDataset
   // degrades internally (unusable pack -> regenerate, unwritable pack ->
   // run unpacked), so both graphs must always be correct.
   store::Store store(dir + "/store");
@@ -119,7 +109,7 @@ PipelineOutcome RunPipeline(const std::string& dir) {
   const Graph warm = store.GetDataset(kDataset, kScale, kSeed);
   out.warm_fp = store::GraphFingerprint(warm);
 
-  // 4. Deep-copy load of the pack, when one made it to disk.
+  // 3. Deep-copy load of the pack, when one made it to disk.
   const std::string pack = store.PackPath(kDataset, kScale, kSeed);
   if (fs::exists(pack)) {
     Graph g;
@@ -127,7 +117,7 @@ PipelineOutcome RunPipeline(const std::string& dir) {
     if (out.copied_pack) out.copy_fp = store::GraphFingerprint(g);
   }
 
-  // 5. Ordering: compute (pure CPU, no IO), cache, load back.
+  // 4. Ordering: compute (pure CPU, no IO), cache, load back.
   const auto method = order::Method::kGorder;
   out.perm = order::ComputeOrdering(cold, method, Params());
   const std::uint64_t fp = store::GraphFingerprint(cold);
@@ -138,21 +128,21 @@ PipelineOutcome RunPipeline(const std::string& dir) {
       store.LoadOrdering(fp, method, Params(), cold.NumNodes(), &cached);
   if (out.loaded_ordering) out.loaded_perm = std::move(cached.perm);
 
-  // 6. Benchmark kernel on the reordered graph.
+  // 5. Benchmark kernel on the reordered graph.
   out.pr_mass = algo::PageRank(cold.Relabel(out.perm), 5).total_mass;
 
-  // 7. Telemetry artifact writer.
+  // 6. Telemetry artifact writer.
   out.wrote_trace = obs::WriteChromeTrace(dir + "/trace.json");
   if (!out.wrote_trace) out.errors.push_back("WriteChromeTrace failed");
 
-  // 8. Out-of-core pipeline (src/extmem): stream the text edge list
-  // through the external sorter into a pack build that writes through
+  // 7. Out-of-core pipeline (src/extmem): stream the text edge list,
+  // through step 1's reader, into a pack build that writes through
   // store::PackWriter, then run a semi-external ordering over the mapped
   // result. Tiny buffers and fan-in force run spills and compaction
-  // merges, so this drives every extmem.* failpoint and the writer's
-  // store.pack_write.* points a second time. A fault may cost the pack
-  // (nothing at the final path) or the ordering — never debris or a
-  // partial file.
+  // merges, so this drives every extmem.* failpoint and, a second time,
+  // the reader's graph.read_edgelist.* and the writer's
+  // store.pack_write.* points. A fault may cost the pack (nothing at the
+  // final path) or the ordering — never debris or a partial file.
   if (out.wrote_edgelist) {
     const std::string ext_pack = dir + "/ext.gpack";
     extmem::ExtmemOptions eopts;
@@ -172,7 +162,7 @@ PipelineOutcome RunPipeline(const std::string& dir) {
     }
   }
 
-  // 9. Ordering-as-a-service daemon (src/serve): bind, serve a few
+  // 8. Ordering-as-a-service daemon (src/serve): bind, serve a few
   // queries in-process, then prove the daemon outlives the fault. This
   // is what drives the net.* failpoints (listen/accept/connect/read/
   // write): one injected syscall failure may cost one request or one
@@ -265,13 +255,6 @@ void CheckArtifacts(const std::string& dir, const PipelineOutcome& baseline) {
     ASSERT_TRUE(r.ok) << "partial edge list at final path: " << r.error;
     EXPECT_EQ(store::GraphFingerprint(g), baseline.roundtrip_fp);
   }
-  const std::string bin = dir + "/g.bin";
-  if (fs::exists(bin)) {
-    Graph g;
-    IoResult r = ReadBinary(bin, &g);
-    ASSERT_TRUE(r.ok) << "partial binary graph at final path: " << r.error;
-    EXPECT_EQ(store::GraphFingerprint(g), baseline.binary_fp);
-  }
   store::Store store(dir + "/store");
   const std::string pack = store.PackPath(kDataset, kScale, kSeed);
   if (fs::exists(pack)) {
@@ -324,9 +307,6 @@ void CheckInvariants(const PipelineOutcome& out,
   // Steps that report success must have produced the baseline bits.
   if (out.read_edgelist) {
     EXPECT_EQ(out.roundtrip_fp, baseline.roundtrip_fp) << context;
-  }
-  if (out.read_binary) {
-    EXPECT_EQ(out.binary_fp, baseline.binary_fp) << context;
   }
   if (out.copied_pack) {
     EXPECT_EQ(out.copy_fp, baseline.copy_fp) << context;
@@ -394,7 +374,6 @@ TEST_F(FaultSweepTest, BaselineCoversEveryRegisteredFailpoint) {
   EXPECT_TRUE(baseline.errors.empty())
       << "fault-free pipeline failed: " << baseline.errors.front();
   EXPECT_TRUE(baseline.wrote_edgelist && baseline.read_edgelist);
-  EXPECT_TRUE(baseline.wrote_binary && baseline.read_binary);
   EXPECT_TRUE(baseline.copied_pack);
   EXPECT_TRUE(baseline.saved_ordering && baseline.loaded_ordering);
   EXPECT_TRUE(baseline.wrote_trace);
@@ -462,13 +441,30 @@ TEST_F(FaultSweepTest, OneFaultAtATimeDegradesCleanly) {
                            "extmem.run.write=short@2",
                            "extmem.merge.read=err@3",
                            "store.pack_write.write=enospc@1+",
-                           "util.atomic.sync=err@1+"}) {
+                           "util.atomic.sync=err@1+",
+                           "graph.read_edgelist.open=err@2",
+                           "graph.read_edgelist.read=err@2"}) {
     SCOPED_TRACE(spec);
     std::string error;
     ASSERT_TRUE(util::ArmFailpointsFromSpec(spec, &error)) << error;
     const std::string dir = FreshDir("run" + std::to_string(run++));
     const PipelineOutcome out = RunPipeline(dir);
     util::DisarmAllFailpoints();
+    // Step 1's ReadEdgeList and step 7's StreamEdgeListToPack read
+    // through the same StreamEdgeList, one open and one read each, so a
+    // reader point's second hit lands in step 7: that build must fail
+    // cleanly and leave no pack.
+    const std::string name(spec, std::strchr(spec, '='));
+    if (name.starts_with("graph.read_edgelist.")) {
+      for (const auto& info : util::SnapshotFailpoints()) {
+        if (info.name == name) {
+          EXPECT_EQ(info.fires, 1u);
+        }
+      }
+      EXPECT_TRUE(out.read_edgelist);
+      EXPECT_FALSE(out.ext_packed);
+      EXPECT_FALSE(fs::exists(dir + "/ext.gpack"));
+    }
     CheckInvariants(out, baseline, spec);
     CheckArtifacts(dir, baseline);
     util::ResetFailpointCounters();

@@ -481,7 +481,7 @@ TEST(HugeDatasetTest, PackBitIdenticalAcrossThreadCounts) {
   std::string reference;
   for (int threads : {1, 2, 8}) {
     ThreadGuard guard(threads);
-    TempFile pack(TempPath("t" + std::to_string(threads) + ".gpack"));
+    TempFile pack(TempPath('t' + std::to_string(threads) + ".gpack"));
     gen::ChunkedOptions options;
     options.chunk_edges = 512;
     IoResult r = extmem::BuildPackFromEdgeStream(

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_common.h"
 #include "gen/datasets.h"
 #include "harness/ranking.h"
 #include "order/ordering.h"
@@ -114,6 +115,16 @@ TEST(RankingTest, TieRatioBucketsSlowMethods) {
   auto capped = RankSeries(times, 1.5);
   EXPECT_EQ(capped.counts[1][1], 1);
   EXPECT_EQ(capped.counts[2][1], 1);  // shares the bucket
+}
+
+// The bench binaries take datasets from the nine-entry registry only: a
+// huge-tier name is a usage error with the list of valid names, not an
+// abort inside the generator.
+TEST(BenchOptionsDeathTest, HugeDatasetNameExitsWithValidNames) {
+  const char* argv[] = {"bench", "--tier=huge", "--datasets=rmat-huge"};
+  EXPECT_EXIT(bench::BenchOptions::Parse(3, const_cast<char**>(argv), 1.0),
+              testing::ExitedWithCode(2),
+              "unknown dataset 'rmat-huge' in --datasets\nvalid names: ");
 }
 
 TEST(RankingTest, EmptyInputSafe) {

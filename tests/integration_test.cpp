@@ -97,10 +97,10 @@ TEST(EndToEndIoTest, OrderPersistAndReload) {
   Graph g = gen::MakeDataset("epinion", 0.02);
   auto perm = order::ComputeOrdering(g, order::Method::kGorder, {});
   Graph h = g.Relabel(perm);
-  std::string path = std::string(::testing::TempDir()) + "/pipeline.bin";
-  ASSERT_TRUE(WriteBinary(path, h).ok);
+  std::string path = std::string(::testing::TempDir()) + "/pipeline.gpack";
+  ASSERT_TRUE(store::WritePack(path, h).ok);
   Graph reloaded;
-  ASSERT_TRUE(ReadBinary(path, &reloaded).ok);
+  ASSERT_TRUE(store::LoadPack(path, &reloaded).ok);
   EXPECT_EQ(algo::Nq(h).checksum, algo::Nq(reloaded).checksum);
   EXPECT_EQ(algo::KCore(h).max_core, algo::KCore(reloaded).max_core);
   std::remove(path.c_str());

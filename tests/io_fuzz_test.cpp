@@ -46,25 +46,6 @@ INSTANTIATE_TEST_SUITE_P(
                       "# only a comment\n",              // comments only
                       "1 2\n\n\n3 4\n"));                // blank lines
 
-TEST(RandomByteStreamTest, BinaryReaderNeverCrashes) {
-  Rng rng(77);
-  auto path = std::filesystem::temp_directory_path() / "gorder_fuzz.bin";
-  for (int trial = 0; trial < 20; ++trial) {
-    std::ofstream out(path, std::ios::binary);
-    int len = 1 + static_cast<int>(rng.Uniform(200));
-    for (int i = 0; i < len; ++i) {
-      char c = static_cast<char>(rng.NextU32() & 0xFF);
-      out.write(&c, 1);
-    }
-    out.close();
-    Graph g;
-    IoResult r = ReadBinary(path.string(), &g);
-    EXPECT_FALSE(r.ok);  // random bytes can't be a valid graph
-    EXPECT_FALSE(r.error.empty());
-  }
-  std::filesystem::remove(path);
-}
-
 TEST(DynamicGraphFuzzTest, MatchesSetReferenceUnderRandomOps) {
   Rng rng(78);
   const NodeId max_nodes = 60;

@@ -84,7 +84,9 @@ TEST(ParallelForTest, GrainOfOne) {
     ParallelFor(0, hits.size(), 1, [&](std::size_t b, std::size_t e) {
       // Grain 1 means single-index chunks on the parallel path; the
       // serial fast path (threads=1) hands over the whole range at once.
-      if (threads > 1) EXPECT_EQ(e, b + 1);
+      if (threads > 1) {
+        EXPECT_EQ(e, b + 1);
+      }
       for (std::size_t i = b; i < e; ++i) {
         hits[i].fetch_add(1, std::memory_order_relaxed);
       }

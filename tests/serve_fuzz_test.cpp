@@ -306,7 +306,7 @@ TEST(AdminHttpFuzz, RouterAlwaysAnswersWellFormedHttp) {
   for (int iter = 0; iter < 20000; ++iter) {
     AdminRequest req;
     req.method = iter % 3 == 0 ? "GET" : RandomBytes(rng, rng.Uniform(8));
-    req.path = "/" + RandomBytes(rng, rng.Uniform(24));
+    req.path = '/' + RandomBytes(rng, rng.Uniform(24));
     const std::string response = HandleAdminRequest(req, handlers);
     EXPECT_EQ(response.rfind("HTTP/1.0 ", 0), 0u) << "iter " << iter;
     EXPECT_NE(response.find("Content-Length: "), std::string::npos);

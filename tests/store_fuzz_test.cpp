@@ -129,7 +129,9 @@ TEST(GpackFuzz, PayloadBitFlipsAreCaughtBySectionCrcs) {
     Graph loaded;
     IoResult r = store::LoadPack(tmp.path, &loaded);
     EXPECT_FALSE(r.ok);
-    if (!r.ok) EXPECT_FALSE(r.error.empty());
+    if (!r.ok) {
+      EXPECT_FALSE(r.error.empty());
+    }
   }
 }
 

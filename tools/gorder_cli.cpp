@@ -13,7 +13,7 @@
 //              --out=g.gpack [--chunk-edges=N] [--mem-budget=MB]
 //              (chunk-parallel streaming generation straight into a pack;
 //               huge-tier datasets never exist as an in-RAM edge list)
-//   gorder_cli --cmd=convert --in=g.txt --out=g.bin      (text <-> binary
+//   gorder_cli --cmd=convert --in=g.txt --out=g.gpack    (text <-> gpack
 //                                                         by extension)
 //   gorder_cli --cmd=algo    --in=g.txt --algo=pr|bfs|sp|wcc|tc
 //              [--iters=20] [--source=N] [--repeats=3] [--threads=N]
@@ -29,17 +29,17 @@
 //               checksums, CSR invariants, content fingerprint; exit 0
 //               iff the pack is intact)
 //
-// Graph file formats by extension: .txt edge list, .bin legacy binary,
-// .gpack mmap-able store pack (any command's --in/--out accepts any of
-// them; --cmd=convert translates between all three).
+// Graph file formats by extension: .gpack is the mmap-able store pack,
+// any other name a text edge list (any command's --in/--out accepts
+// either; --cmd=convert translates between them).
 //
 // Methods: Original Random MinLA MinLogA RCM InDegSort ChDFS SlashBurn
 //          LDG Gorder Metis OutDegSort HubSort HubCluster DBG BOBA
 //
 // --threads=N (or the GORDER_THREADS env var) sizes the shared thread
-// pool used by graph build, relabel, edge-list parsing and the untraced
-// algorithm kernels (--cmd=algo); --threads=1 is fully serial and
-// produces identical output at any thread count.
+// pool used by graph build, relabel and the untraced algorithm kernels
+// (--cmd=algo); --threads=1 is fully serial, and the output is identical
+// at any thread count.
 //
 // Out-of-core mode (DESIGN.md §18): --extmem [--mem-budget=<MB>] on
 // --cmd=pack builds the .gpack through the external sort/merge pipeline
@@ -69,8 +69,7 @@ bool EndsWith(const std::string& s, const char* suffix) {
 
 int LoadGraph(const std::string& path, Graph* g) {
   IoResult r = EndsWith(path, ".gpack") ? store::LoadPack(path, g)
-               : EndsWith(path, ".bin") ? ReadBinary(path, g)
-                                        : ReadEdgeList(path, g);
+                                         : ReadEdgeList(path, g);
   if (!r.ok) {
     std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;
@@ -80,8 +79,7 @@ int LoadGraph(const std::string& path, Graph* g) {
 
 int StoreGraph(const std::string& path, const Graph& g) {
   IoResult r = EndsWith(path, ".gpack") ? store::WritePack(path, g)
-               : EndsWith(path, ".bin") ? WriteBinary(path, g)
-                                        : WriteEdgeList(path, g);
+                                         : WriteEdgeList(path, g);
   if (!r.ok) {
     std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;
@@ -441,8 +439,7 @@ int CmdPack(const Flags& flags) {
   std::string dataset = flags.GetString("dataset", "");
   if (flags.Has("rmat-scale")) return PackRmatStream(flags, out);
   if (flags.GetBool("extmem", false)) {
-    if (in.empty() || out.empty() || EndsWith(in, ".gpack") ||
-        EndsWith(in, ".bin")) {
+    if (in.empty() || out.empty() || EndsWith(in, ".gpack")) {
       std::fprintf(stderr,
                    "error: --cmd=pack --extmem streams a text edge list: "
                    "--in=<g.txt> --out=<f.gpack> (or --rmat-scale=<N>)\n");
@@ -562,7 +559,7 @@ int CmdVerify(const Flags& flags) {
 int CmdConvert(const Flags& flags) {
   Graph g;
   if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
-  return StoreGraph(flags.GetString("out", "out.bin"), g);
+  return StoreGraph(flags.GetString("out", "out.txt"), g);
 }
 
 /// Runs one benchmark kernel on the loaded graph — the CLI surface for

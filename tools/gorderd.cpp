@@ -134,8 +134,7 @@ int Run(int argc, char** argv) {
   }
   Graph g;
   IoResult r = EndsWith(in, ".gpack") ? store::LoadPack(in, &g)
-               : EndsWith(in, ".bin") ? ReadBinary(in, &g)
-                                      : ReadEdgeList(in, &g);
+                                       : ReadEdgeList(in, &g);
   if (!r.ok) {
     std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;

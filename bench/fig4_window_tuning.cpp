@@ -36,7 +36,7 @@ int main(int argc, char** argv) {
   for (NodeId w : windows) {
     order::OrderingParams params;
     params.seed = opt.seed;
-    params.window = std::min<NodeId>(w, g.NumNodes());
+    params.window = w;
     auto timed =
         bench::ComputeOrderingTimed(g, order::Method::kGorder, params);
     Graph h = g.Relabel(timed.perm);

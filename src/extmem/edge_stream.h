@@ -32,8 +32,9 @@ namespace gorder::extmem {
 
 /// Knobs for the out-of-core pipeline. The memory budget governs the
 /// streaming state (run buffer, merge read buffers) —
-/// the semi-external model additionally keeps O(n) vertex state in RAM,
-/// which is reported by EstimateMemory (ext_csr.h), not bounded here.
+/// the semi-external model additionally keeps O(n) vertex state (and,
+/// for Gorder, the out-lists) in RAM, which is reported by
+/// EstimateMemory (ext_csr.h), not bounded here.
 struct ExtmemOptions {
   /// Target for the streaming buffers. Default 256 MB.
   std::uint64_t mem_budget_bytes = 256ull << 20;

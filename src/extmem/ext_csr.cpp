@@ -228,9 +228,11 @@ MemoryEstimates EstimateMemory(std::uint64_t num_nodes,
   // Extmem build: two offset arrays plus the streaming budget.
   est.extmem_build_bytes =
       2 * (n + 1) * sizeof(EdgeId) + options.mem_budget_bytes;
-  // Semi-external Gorder: packed unit heap (16 B/slot), permutation,
-  // window bookkeeping — the adjacency itself stays on disk.
-  est.gorder_state_bytes = n * 16 + 2 * n * sizeof(NodeId);
+  // Semi-external Gorder: packed unit heap (16 B/slot), permutation and
+  // window bookkeeping, plus the kernel's live copy of the out-lists (one
+  // id per edge, one end offset per node). The in-lists stay on disk.
+  est.gorder_state_bytes = n * 16 + 2 * n * sizeof(NodeId) +
+                           m * sizeof(NodeId) + n * sizeof(EdgeId);
   return est;
 }
 

@@ -107,7 +107,8 @@ struct MemoryEstimates {
   std::uint64_t copy_load_bytes = 0;  // heap for LoadMode::kCopy
   std::uint64_t inmem_build_peak_bytes = 0;  // edge list + CSR (FromEdges)
   std::uint64_t extmem_build_bytes = 0;      // vertex state + stream budget
-  std::uint64_t gorder_state_bytes = 0;      // semi-external Gorder RAM
+  // Semi-external Gorder: vertex state plus the kernel's out-list copy.
+  std::uint64_t gorder_state_bytes = 0;
 };
 MemoryEstimates EstimateMemory(std::uint64_t num_nodes,
                                std::uint64_t num_edges,

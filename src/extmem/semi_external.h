@@ -3,16 +3,20 @@
 
 /// Semi-external ordering (DESIGN.md §18).
 ///
-/// Gorder's greedy window algorithm only needs O(n) vertex state in RAM
-/// — the packed unit heap, the permutation, and per-vertex scores — while
-/// the adjacency is read through whatever backs the CSR arrays. Running
-/// the unchanged kernels over a zero-copy mapped .gpack therefore *is*
-/// the semi-external algorithm: the OS pages adjacency windows in and
-/// out on demand, RAM holds only vertex state, and the output is
-/// bit-identical to the in-memory run by construction (same code, same
-/// values). This header packages that as a one-call API with
-/// method-appropriate paging advice (sequential for the single-pass
-/// BOBA/degree methods, on-demand for Gorder's windowed access).
+/// The orderings read the adjacency through whatever backs the CSR
+/// arrays, so running the unchanged kernels over a zero-copy mapped
+/// .gpack *is* the semi-external algorithm: the OS pages adjacency in and
+/// out on demand, and the output is bit-identical to the in-memory run by
+/// construction (same code, same values). What stays in RAM depends on
+/// the method. BOBA and the degree methods hold O(n) vertex state.
+/// Gorder holds its vertex state (the packed unit heap, the permutation,
+/// the window) plus its private copy of the out-lists, 4 B per edge and
+/// 8 B per node, which the greedy compacts as nodes are placed
+/// (DESIGN.md §15); only its in-lists stay paged. EstimateMemory
+/// (ext_csr.h) reports that figure. This header packages the run as a
+/// one-call API with method-appropriate paging advice (sequential for
+/// the single-pass BOBA/degree methods, on-demand for Gorder's windowed
+/// access).
 
 #include <string>
 #include <vector>
@@ -29,8 +33,9 @@ struct SemiExternalInfo {
 };
 
 /// Computes `perm[old] = new` for the graph stored at `pack_path`,
-/// keeping only vertex state in RAM. Bit-identical to ComputeOrdering on
-/// the same graph loaded in memory (the differential test asserts it).
+/// keeping vertex state (and, for Gorder, the out-lists) in RAM.
+/// Bit-identical to ComputeOrdering on the same graph loaded in memory
+/// (the differential test asserts it).
 IoResult SemiExternalOrder(const std::string& pack_path, order::Method method,
                            const order::OrderingParams& params,
                            std::vector<NodeId>* perm,

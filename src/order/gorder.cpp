@@ -1,5 +1,6 @@
 #include "order/gorder.h"
 
+#include <algorithm>
 #include <limits>
 
 #include "obs/metrics.h"
@@ -37,7 +38,10 @@ std::vector<NodeId> GorderKernel(const Graph& graph,
                                  const OrderingParams& params,
                                  GorderPhaseStats* stats) {
   const NodeId n = graph.NumNodes();
-  const NodeId w = params.window;
+  // The window never holds more than n nodes, so a ring of min(w, n)
+  // slots evicts exactly what a ring of w slots would (nothing, when
+  // w >= n).
+  const NodeId w = std::min(params.window, n);
   std::vector<NodeId> perm(n, kInvalidNode);
 
   Timer total_timer;
@@ -53,25 +57,49 @@ std::vector<NodeId> GorderKernel(const Graph& graph,
                              ? std::numeric_limits<NodeId>::max()
                              : params.gorder_hub_cap;
   const EdgeId* out_offsets = graph.out_offsets().data();
-  const NodeId* out_neigh = graph.out_neighbors().data();
   const EdgeId* in_offsets = graph.in_offsets().data();
   const NodeId* in_neigh = graph.in_neighbors().data();
+
+  // Live out-lists: a private copy of the out-adjacency in which list v
+  // spans [out_offsets[v], live_end[v]). Every scan compacts the list it
+  // walks, stably and in place, to the ids still in the heap. A node
+  // leaves the heap only when it is placed and never comes back, so a
+  // dropped id would only have cost a slot load and a no-op; the ids
+  // kept stay in their relative order, so the ±1 relinks, and with them
+  // the tie-breaks and the permutation, are those of a scan over the
+  // graph's own lists. Placed nodes make up about half of all scanned
+  // ids on social graphs (DESIGN.md §15).
+  std::vector<NodeId> live(graph.out_neighbors().begin(),
+                           graph.out_neighbors().end());
+  std::vector<EdgeId> live_end(out_offsets + 1, out_offsets + n + 1);
+  NodeId* const live_neigh = live.data();
 
   std::uint64_t score_updates = 0;
   std::uint64_t lazy_refiles = 0;
   std::uint64_t places = 0;
 
-  // Applies `bump` over [p, e) with the heap slots of ids kPrefetchDist
-  // ahead prefetched (split main/tail loops keep the distance check out
-  // of the steady state).
-  auto scan = [&](const NodeId* p, const NodeId* e, auto&& bump) {
-    const NodeId* main_end =
-        e - p > kPrefetchDist ? e - kPrefetchDist : p;
+  // Applies `bump` to the live ids of v's out-list in order, with the
+  // heap slots of ids kPrefetchDist ahead prefetched (split main/tail
+  // loops keep the distance check out of the steady state), and keeps
+  // the ids `bump` reports present. The store is unconditional and the
+  // write cursor advances by the presence bit, so the filter adds no
+  // branch; it trails the read cursor, so it never overwrites an id
+  // still to be read or prefetched.
+  auto scan = [&](NodeId v, auto&& bump) {
+    NodeId* p = live_neigh + out_offsets[v];
+    NodeId* const e = live_neigh + live_end[v];
+    NodeId* keep = p;
+    auto visit = [&](NodeId c) {
+      *keep = c;
+      keep += bump(c);
+    };
+    NodeId* const main_end = e - p > kPrefetchDist ? e - kPrefetchDist : p;
     for (; p != main_end; ++p) {
       heap.PrefetchSlot(p[kPrefetchDist]);
-      bump(*p);
+      visit(*p);
     }
-    for (; p != e; ++p) bump(*p);
+    for (; p != e; ++p) visit(*p);
+    live_end[v] = static_cast<EdgeId>(keep - live_neigh);
   };
 
   // Score delta caused by `ve` entering or leaving the window, owed to
@@ -79,14 +107,12 @@ std::vector<NodeId> GorderKernel(const Graph& graph,
   //   - Sn: out-neighbours of ve (edge ve->c) and in-neighbours of ve
   //     (edge c->ve);
   //   - Ss: co-out-neighbours of each in-neighbour u of ve (common
-  //     in-neighbour u), skipping hubs beyond gorder_hub_cap.
+  //     in-neighbour u), skipping hubs beyond gorder_hub_cap (tested on
+  //     the full out-degree, not the live one).
   // The same rule applies on entry and exit, which keeps every key equal
   // to the (capped) score against the current window and never negative.
   auto apply = [&](NodeId ve, auto&& bump) {
-    if constexpr (kNeighbor) {
-      scan(out_neigh + out_offsets[ve], out_neigh + out_offsets[ve + 1],
-           bump);
-    }
+    if constexpr (kNeighbor) scan(ve, bump);
     const NodeId* up = in_neigh + in_offsets[ve];
     const NodeId* ue = in_neigh + in_offsets[ve + 1];
     for (; up != ue; ++up) {
@@ -96,32 +122,32 @@ std::vector<NodeId> GorderKernel(const Graph& graph,
         // Cross-list prefetch: adjacency lists are short (average degree
         // ~10), so within-list prefetch alone cannot hide the miss on
         // the *next* sibling list. Pull the offsets a few in-neighbours
-        // ahead and the first line of the next list while this one is
-        // scanned.
+        // ahead and the first line of the next live list while this one
+        // is scanned.
         if (up + 4 < ue) __builtin_prefetch(&out_offsets[up[4]]);
         if (up + 1 != ue) {
-          __builtin_prefetch(out_neigh + out_offsets[up[1]]);
+          __builtin_prefetch(live_neigh + out_offsets[up[1]]);
         }
       }
       if constexpr (kNeighbor) bump(u);
       if constexpr (kSibling) {
-        const EdgeId ub = out_offsets[u];
-        const EdgeId uend = out_offsets[u + 1];
-        if (uend - ub > hub_cap) continue;
-        scan(out_neigh + ub, out_neigh + uend, bump);
+        if (out_offsets[u + 1] - out_offsets[u] > hub_cap) continue;
+        scan(u, bump);
       }
     }
   };
 
-  auto bump_enter = [&](NodeId c) {
-    if (heap.BumpBy(c, 1)) ++score_updates;
+  // Both return whether c was still in the heap, which is what `scan`
+  // keeps.
+  auto bump_enter = [&](NodeId c) -> bool {
+    const bool present = heap.BumpBy(c, 1);
+    score_updates += present;
+    return present;
   };
-  auto bump_exit = [&](NodeId c) {
-    if constexpr (kLazy) {
-      if (heap.AddDebtBy(c, 1)) ++score_updates;
-    } else {
-      if (heap.BumpBy(c, -1)) ++score_updates;
-    }
+  auto bump_exit = [&](NodeId c) -> bool {
+    const bool present = kLazy ? heap.AddDebtBy(c, 1) : heap.BumpBy(c, -1);
+    score_updates += present;
+    return present;
   };
 
   // Seed: the maximum in-degree node (ties -> lowest id), as in the

@@ -117,7 +117,7 @@ TEST_P(ExtmemDifferentialTest, PackAndOrderingsMatchInMemoryPath) {
 INSTANTIATE_TEST_SUITE_P(Threads, ExtmemDifferentialTest,
                          ::testing::Values(1, 2, 8),
                          [](const ::testing::TestParamInfo<int>& info) {
-                           return "t" + std::to_string(info.param);
+                           return 't' + std::to_string(info.param);
                          });
 
 }  // namespace

@@ -4,6 +4,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <deque>
+#include <limits>
 
 #include "gen/datasets.h"
 #include "gen/generators.h"
@@ -17,6 +20,98 @@ namespace {
 Graph WebGraph(NodeId n = 1200, std::uint64_t seed = 21) {
   Rng rng(seed);
   return gen::CopyingModel(n, 6, 0.6, rng);
+}
+
+/// A small graph with every shape the greedy's tie-breaks meet:
+/// in-degree hubs from the copying model, an out-hub far past the hub
+/// cap used below, self-loops, duplicate edges (one list scanned twice
+/// in one window update), a disconnected cycle with chords and ten
+/// trailing isolated nodes.
+Graph TieBreakGraph(std::uint64_t seed) {
+  Rng rng(seed);
+  const NodeId core = 90;
+  Graph web = gen::CopyingModel(core, 4, 0.6, rng);
+  std::vector<Edge> edges;
+  for (NodeId v = 0; v < core; ++v) {
+    for (NodeId c : web.OutNeighbors(v)) edges.push_back({v, c});
+  }
+  const auto hub = static_cast<NodeId>(rng.Uniform(core));
+  for (NodeId c = 0; c < core; c += 3) edges.push_back({hub, c});
+  for (int i = 0; i < 8; ++i) {
+    const auto v = static_cast<NodeId>(rng.Uniform(core));
+    edges.push_back({v, v});
+    const Edge dup = edges[rng.Uniform(edges.size())];
+    edges.push_back(dup);
+  }
+  for (NodeId i = 0; i < 20; ++i) {
+    edges.push_back({core + i, core + (i + 1) % 20});
+    if (i % 4 == 0) edges.push_back({core + i, core + (i + 7) % 20});
+  }
+  return Graph::FromEdges(core + 30, std::move(edges),
+                          /*keep_self_loops=*/true,
+                          /*keep_duplicates=*/true);
+}
+
+/// Eager Gorder written from its tie-break rule alone, with no heap: the
+/// next node is the argmax over unplaced nodes of (key, stamp). Every
+/// applied ±1 restamps its node from a running clock; untouched nodes
+/// hold stamps below every clock value, the lowest id highest. Window
+/// entry is applied before the eviction it causes, and each update walks
+/// out(ve), then every in-neighbour u of ve followed by out(u).
+std::vector<NodeId> NaiveEagerGorder(const Graph& g,
+                                     const OrderingParams& p) {
+  const NodeId n = g.NumNodes();
+  std::vector<std::int64_t> key(n, 0);
+  std::vector<std::int64_t> stamp(n);
+  for (NodeId v = 0; v < n; ++v) stamp[v] = -static_cast<std::int64_t>(v) - 1;
+  std::vector<bool> placed(n, false);
+  std::int64_t clock = 0;
+  auto bump = [&](NodeId c, int delta) {
+    if (placed[c]) return;
+    key[c] += delta;
+    stamp[c] = ++clock;
+  };
+  auto apply = [&](NodeId ve, int delta) {
+    if (p.gorder_neighbor_score) {
+      for (NodeId c : g.OutNeighbors(ve)) bump(c, delta);
+    }
+    for (NodeId u : g.InNeighbors(ve)) {
+      if (p.gorder_neighbor_score) bump(u, delta);
+      if (!p.gorder_sibling_score) continue;
+      if (p.gorder_hub_cap != 0 && g.OutDegree(u) > p.gorder_hub_cap) continue;
+      for (NodeId c : g.OutNeighbors(u)) bump(c, delta);
+    }
+  };
+  std::vector<NodeId> perm(n, kInvalidNode);
+  std::deque<NodeId> window;
+  NodeId rank = 0;
+  auto place = [&](NodeId v) {
+    placed[v] = true;
+    perm[v] = rank++;
+    apply(v, +1);
+    window.push_back(v);
+    if (window.size() > p.window) {
+      apply(window.front(), -1);
+      window.pop_front();
+    }
+  };
+  NodeId seed = 0;
+  for (NodeId v = 1; v < n; ++v) {
+    if (g.InDegree(v) > g.InDegree(seed)) seed = v;
+  }
+  place(seed);
+  while (rank < n) {
+    NodeId best = kInvalidNode;
+    for (NodeId v = 0; v < n; ++v) {
+      if (placed[v]) continue;
+      if (best == kInvalidNode || key[v] > key[best] ||
+          (key[v] == key[best] && stamp[v] > stamp[best])) {
+        best = v;
+      }
+    }
+    place(best);
+  }
+  return perm;
 }
 
 TEST(GorderTest, ValidPermutationOnVariousGraphs) {
@@ -51,11 +146,43 @@ TEST(GorderTest, WindowOneStillValid) {
 }
 
 TEST(GorderTest, HugeWindowStillValid) {
+  // The window never holds more than n nodes, so any w >= n orders like
+  // w = n, and the ring is sized to n, not to w.
   Graph g = WebGraph(300);
-  OrderingParams p;
-  p.window = 10000;  // larger than n
-  auto perm = GorderOrder(g, p);
-  CheckPermutation(perm, g.NumNodes());
+  for (bool lazy : {false, true}) {
+    OrderingParams at_n;
+    at_n.window = g.NumNodes();
+    at_n.gorder_lazy_decrements = lazy;
+    const auto expect = GorderOrder(g, at_n);
+    CheckPermutation(expect, g.NumNodes());
+    for (NodeId w : {NodeId{10000}, std::numeric_limits<NodeId>::max()}) {
+      OrderingParams p = at_n;
+      p.window = w;
+      EXPECT_EQ(GorderOrder(g, p), expect)
+          << "window " << w << (lazy ? " lazy" : " eager");
+    }
+  }
+}
+
+TEST(GorderTest, EagerKernelFollowsTheTieBreakRule) {
+  // The unit heap, the window ring and the live out-lists must add up
+  // to the rule NaiveEagerGorder spells out, in every configuration:
+  // 4 graphs x 5 windows x {full, sibling-only, neighbour-only, capped}.
+  for (std::uint64_t seed : {1, 2, 3, 4}) {
+    Graph g = TieBreakGraph(seed);
+    for (NodeId w : {1u, 2u, 5u, 16u, g.NumNodes() + 50}) {
+      for (int config = 0; config < 4; ++config) {
+        OrderingParams p;
+        p.window = w;
+        p.gorder_neighbor_score = config != 1;
+        p.gorder_sibling_score = config != 2;
+        p.gorder_hub_cap = config == 3 ? 4 : 0;
+        EXPECT_EQ(GorderOrder(g, p), NaiveEagerGorder(g, p))
+            << "graph seed " << seed << ", window " << w << ", config "
+            << config;
+      }
+    }
+  }
 }
 
 TEST(GorderTest, ImprovesObjectiveOverBaselines) {

@@ -45,8 +45,9 @@
 // --cmd=pack builds the .gpack through the external sort/merge pipeline
 // (bounded RAM, disk-backed runs), and on --cmd=order runs the ordering
 // semi-externally over a mapped pack (vertex state in RAM, adjacency
-// paged from disk; bit-identical output). --cmd=order --extmem emits the
-// permutation via --map; relabeling stays an in-memory operation.
+// paged from disk, except Gorder's out-lists, which it copies into RAM;
+// bit-identical output). --cmd=order --extmem emits the permutation via
+// --map; relabeling stays an in-memory operation.
 //
 // Every command also accepts --quiet (silence stderr narration),
 // --json-out=<f> (machine-readable run report, written at exit) and
@@ -55,6 +56,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 
 #include "core/gorder_lib.h"
 #include "util/failpoint.h"
@@ -184,17 +186,25 @@ bool RequireMethod(const Flags& flags, order::Method* method) {
   return false;
 }
 
+/// --window, the Gorder window w: any NodeId from 1 up. A value outside
+/// that range exits 2 instead of wrapping into one.
+NodeId WindowFromFlags(const Flags& flags) {
+  return static_cast<NodeId>(flags.GetIntInRange(
+      "window", 5, 1, std::numeric_limits<NodeId>::max()));
+}
+
 order::OrderingParams OrderingParamsFromFlags(const Flags& flags) {
   order::OrderingParams params;
   params.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
-  params.window = static_cast<NodeId>(flags.GetInt("window", 5));
+  params.window = WindowFromFlags(flags);
   params.gorder_lazy_decrements = flags.GetBool("lazy", false);
   return params;
 }
 
-/// Semi-external ordering: vertex state in RAM, adjacency paged from the
-/// mapped pack. Emits the permutation (--map); relabeling would pull the
-/// whole graph into memory, so it is deliberately not offered here.
+/// Semi-external ordering: vertex state in RAM (plus Gorder's out-list
+/// copy), adjacency paged from the mapped pack. Emits the permutation
+/// (--map); relabeling would pull the whole graph into memory, so it is
+/// deliberately not offered here.
 int CmdOrderExtmem(const Flags& flags) {
   order::Method method;
   if (!RequireMethod(flags, &method)) return 2;
@@ -233,9 +243,9 @@ int CmdOrder(const Flags& flags) {
   if (flags.GetBool("extmem", false)) return CmdOrderExtmem(flags);
   order::Method method;
   if (!RequireMethod(flags, &method)) return 2;
+  const order::OrderingParams params = OrderingParamsFromFlags(flags);
   Graph g;
   if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
-  order::OrderingParams params = OrderingParamsFromFlags(flags);
   const bool verbose = flags.GetBool("verbose", false);
   // Ordering and relabel wall times are reported separately: the total is
   // the pipeline cost that must be amortised by downstream speedups
@@ -312,9 +322,9 @@ int CmdStats(const Flags& flags) {
 }
 
 int CmdScore(const Flags& flags) {
+  const NodeId w = WindowFromFlags(flags);
   Graph g;
   if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
-  auto w = static_cast<NodeId>(flags.GetInt("window", 5));
   std::printf("F(identity, w=%u) = %llu\n", w,
               static_cast<unsigned long long>(GorderScore(g, w)));
   return 0;
@@ -540,7 +550,10 @@ int CmdInfo(const Flags& flags) {
               mb(est.inmem_build_peak_bytes));
   std::printf("  extmem build (--extmem):     %10.1f MB\n",
               mb(est.extmem_build_bytes));
-  std::printf("  semi-external order state:   %10.1f MB\n",
+  // BOBA and the degree methods keep only O(n) vertex state; Gorder
+  // also copies the out-lists into RAM (DESIGN.md §18).
+  std::printf("  semi-external Gorder:        %10.1f MB (vertex state + "
+              "out-list copy)\n",
               mb(est.gorder_state_bytes));
   return 0;
 }

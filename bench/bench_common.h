@@ -105,6 +105,15 @@ struct BenchOptions {
     }
     BenchOptions opt;
     opt.scale = flags.GetDouble("scale", default_scale);
+    // Binaries also pick datasets by their own flags, so the scale must
+    // suit every standard dataset.
+    for (const auto& spec : gen::AllDatasets()) {
+      std::string error;
+      if (!gen::CheckScale(spec, opt.scale, &error)) {
+        std::fprintf(stderr, "flag --scale: %s\n", error.c_str());
+        std::exit(2);
+      }
+    }
     opt.repeats = static_cast<int>(flags.GetInt("repeats", 1));
     opt.csv = flags.GetBool("csv", false);
     opt.seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));

@@ -11,19 +11,6 @@
 
 namespace gorder::cachesim {
 
-namespace {
-
-constexpr const char* kHwEventNames[kNumHwEvents] = {
-    "cycles",    "instructions", "l1d_loads",
-    "l1d_misses", "llc_loads",    "llc_misses"};
-
-}  // namespace
-
-const char* HwEventName(int event) {
-  return event >= 0 && event < kNumHwEvents ? kHwEventNames[event]
-                                            : "unknown";
-}
-
 #ifdef __linux__
 
 namespace {

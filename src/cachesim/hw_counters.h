@@ -16,11 +16,6 @@ namespace gorder::cachesim {
 /// to simulation-only output.
 inline constexpr int kNumHwEvents = 6;
 
-/// Names aligned with the per-event arrays below (and with the order the
-/// counter group is opened in): cycles, instructions, l1d_loads,
-/// l1d_misses, llc_loads, llc_misses.
-const char* HwEventName(int event);
-
 struct HwStats {
   bool valid = false;
   std::uint64_t cycles = 0;

@@ -39,30 +39,4 @@ Graph CompressedGraph::Decompress() const {
                           /*keep_duplicates=*/true);
 }
 
-std::vector<double> PageRankOnCompressed(const CompressedGraph& graph,
-                                         int iterations, double damping) {
-  const NodeId n = graph.NumNodes();
-  std::vector<double> rank(n, n == 0 ? 0.0 : 1.0 / n);
-  if (n == 0) return rank;
-  std::vector<double> next(n, 0.0);
-  for (int it = 0; it < iterations; ++it) {
-    double dangling = 0.0;
-    std::fill(next.begin(), next.end(), 0.0);
-    for (NodeId u = 0; u < n; ++u) {
-      NodeId deg = graph.OutDegree(u);
-      if (deg == 0) {
-        dangling += rank[u];
-        continue;
-      }
-      double share = rank[u] / deg;
-      graph.ForEachOutNeighbor(u, [&](NodeId v) { next[v] += share; });
-    }
-    const double base = (1.0 - damping) / n + damping * dangling / n;
-    for (NodeId v = 0; v < n; ++v) {
-      rank[v] = base + damping * next[v];
-    }
-  }
-  return rank;
-}
-
 }  // namespace gorder::compress

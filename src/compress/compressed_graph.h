@@ -78,15 +78,6 @@ void CompressedGraph::ForEachOutNeighbor(NodeId v, Fn&& fn) const {
   }
 }
 
-/// PageRank evaluated directly over the compressed representation
-/// (push formulation: each node scatters rank/outdeg to its decoded
-/// out-neighbours). Demonstrates compute-over-compressed-data — the
-/// WebGraph use case the paper's discussion points at — and is
-/// numerically identical to algo::PageRank on the decompressed graph.
-std::vector<double> PageRankOnCompressed(const CompressedGraph& graph,
-                                         int iterations,
-                                         double damping = 0.85);
-
 }  // namespace gorder::compress
 
 #endif  // GORDER_COMPRESS_COMPRESSED_GRAPH_H_

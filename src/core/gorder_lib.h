@@ -47,7 +47,6 @@
 #include "graph/graph.h"
 #include "graph/locality_profile.h"
 #include "graph/stats.h"
-#include "graph/subgraph.h"
 #include "harness/experiment.h"
 #include "harness/ranking.h"
 #include "obs/expo.h"

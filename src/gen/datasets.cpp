@@ -1,6 +1,7 @@
 #include "gen/datasets.h"
 
 #include <cmath>
+#include <cstdio>
 
 #include "gen/crawl_order.h"
 #include "gen/generators.h"
@@ -87,6 +88,20 @@ std::string DatasetNames(DatasetTier tier) {
     all += spec.name;
   }
   return all;
+}
+
+bool CheckScale(const DatasetSpec& spec, double scale, std::string* error) {
+  constexpr double kMaxNodes = 1u << 30;
+  if (std::isfinite(scale) && scale > 0 &&
+      static_cast<double>(spec.sim_nodes) * scale <= kMaxNodes) {
+    return true;
+  }
+  char buf[128];
+  std::snprintf(buf, sizeof(buf),
+                "%g is out of range (0, %g] for dataset '%s'", scale,
+                kMaxNodes / spec.sim_nodes, spec.name.c_str());
+  *error = buf;
+  return false;
 }
 
 Graph MakeDataset(const std::string& name, double scale, std::uint64_t seed) {

@@ -62,6 +62,13 @@ const DatasetSpec* FindDatasetSpec(const std::string& name);
 std::string DatasetNames();
 std::string DatasetNames(DatasetTier tier);
 
+/// Checks a user-supplied `scale` for `spec` before anything is generated
+/// or written: it must be finite, above 0, and keep spec.sim_nodes × scale
+/// at or below 2^30, so R-MAT's scale, lround(log2 n), stays below 31.
+/// Returns false and sets `*error` to a message naming the accepted range
+/// otherwise. MakeDataset and StreamDataset assume a scale that passes.
+bool CheckScale(const DatasetSpec& spec, double scale, std::string* error);
+
 /// Generates the synthetic stand-in for `name`. `scale` multiplies the
 /// default node/edge counts (0.25 for quick smoke runs, 4+ to stress).
 /// The node numbering of the returned graph is the dataset's "Original"

@@ -207,55 +207,72 @@ inline std::size_t AppendU32(char* buf, std::size_t pos, std::uint32_t v) {
   return pos;
 }
 
-}  // namespace
-
-IoResult WriteEdgeList(const std::string& path, const Graph& graph) {
-  GORDER_OBS_SPAN(span, "io.write_edgelist");
-  // Stage + rename like every other artifact writer: a failed or
-  // crashed write never leaves a truncated edge list at the final path.
+/// Writes `header`, then one "a b" line per emit(a, b) call that
+/// `for_each_pair(emit)` makes, through a ~1MB formatting buffer (one
+/// fwrite per buffer, not per line; a line needs at most 22 bytes).
+/// Stages + renames like every other artifact writer: a failed or
+/// crashed write never leaves a truncated file at the final path.
+template <typename ForEachPair>
+IoResult WriteIdPairLines(const std::string& path, const std::string& header,
+                          const ForEachPair& for_each_pair) {
   const std::string tmp = util::StagingPath(path);
   if (GORDER_FAILPOINT(fp_write_open) != util::FaultKind::kNone) {
     return IoResult::Error("cannot open " + tmp + " for writing");
   }
   FilePtr f(std::fopen(tmp.c_str(), "w"));
   if (!f) return IoResult::Error("cannot open " + tmp + " for writing");
-  auto fail = [&] {
-    f.reset();
+  std::vector<char> buf(1 << 20);
+  std::size_t pos = 0;
+  // After the first failed write `ok` stays false and nothing more is
+  // written.
+  bool ok = std::fputs(header.c_str(), f.get()) >= 0;
+  auto flush = [&] {
+    ok = ok && GORDER_FAULT_IO(fp_write_write, pos,
+                               std::fwrite(buf.data(), 1, pos, f.get())) ==
+                   pos;
+    pos = 0;
+  };
+  for_each_pair([&](NodeId a, NodeId b) {
+    if (pos + 24 > buf.size()) flush();
+    pos = AppendU32(buf.data(), pos, a);
+    buf[pos++] = ' ';
+    pos = AppendU32(buf.data(), pos, b);
+    buf[pos++] = '\n';
+  });
+  if (pos > 0) flush();
+  ok = ok && util::FlushAndSync(f.get());
+  f.reset();
+  if (!ok) {
     std::error_code ec;
     std::filesystem::remove(tmp, ec);
     return IoResult::Error("short write to " + tmp);
-  };
-  if (std::fprintf(f.get(), "# Directed graph: %u nodes, %" PRIu64 " edges\n",
-                   graph.NumNodes(), graph.NumEdges()) < 0) {
-    return fail();
   }
-  // Buffered formatting: one fwrite per ~1MB instead of one fprintf per
-  // edge ("src dst\n" needs at most 22 bytes).
-  std::vector<char> buf(1 << 20);
-  std::size_t pos = 0;
-  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-    for (NodeId w : graph.OutNeighbors(v)) {
-      if (pos + 24 > buf.size()) {
-        if (GORDER_FAULT_IO(fp_write_write, pos,
-                            std::fwrite(buf.data(), 1, pos, f.get())) != pos) {
-          return fail();
-        }
-        pos = 0;
-      }
-      pos = AppendU32(buf.data(), pos, v);
-      buf[pos++] = ' ';
-      pos = AppendU32(buf.data(), pos, w);
-      buf[pos++] = '\n';
-    }
-  }
-  if (pos > 0 &&
-      GORDER_FAULT_IO(fp_write_write, pos,
-                      std::fwrite(buf.data(), 1, pos, f.get())) != pos) {
-    return fail();
-  }
-  if (!util::FlushAndSync(f.get())) return fail();
-  f.reset();
   return util::CommitStagedFile(tmp, path);
+}
+
+}  // namespace
+
+IoResult WriteEdgeList(const std::string& path, const Graph& graph) {
+  GORDER_OBS_SPAN(span, "io.write_edgelist");
+  char header[80];
+  std::snprintf(header, sizeof(header),
+                "# Directed graph: %u nodes, %" PRIu64 " edges\n",
+                graph.NumNodes(), graph.NumEdges());
+  return WriteIdPairLines(path, header, [&graph](const auto& emit) {
+    for (NodeId v = 0; v < graph.NumNodes(); ++v) {
+      for (NodeId w : graph.OutNeighbors(v)) emit(v, w);
+    }
+  });
+}
+
+IoResult WritePermutationMap(const std::string& path,
+                             const std::vector<NodeId>& perm) {
+  return WriteIdPairLines(path, "# old_id new_id\n",
+                          [&perm](const auto& emit) {
+                            for (NodeId v = 0; v < perm.size(); ++v) {
+                              emit(v, perm[v]);
+                            }
+                          });
 }
 
 }  // namespace gorder

@@ -4,6 +4,7 @@
 #include <cstddef>
 #include <functional>
 #include <string>
+#include <vector>
 
 #include "graph/graph.h"
 #include "util/io_result.h"  // IoResult (shared by every IO layer)
@@ -40,6 +41,12 @@ IoResult ReadEdgeList(const std::string& path, Graph* graph);
 /// stage to a temp file and rename into place (util/atomic_file), so a
 /// failure never leaves a truncated file at `path`.
 IoResult WriteEdgeList(const std::string& path, const Graph& graph);
+
+/// Writes `perm` as "old_id new_id" lines (v, then perm[v]) under a
+/// "# old_id new_id" header, gorder_cli's --map file. Buffered and
+/// staged like WriteEdgeList.
+IoResult WritePermutationMap(const std::string& path,
+                             const std::vector<NodeId>& perm);
 
 }  // namespace gorder
 

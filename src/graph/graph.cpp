@@ -305,14 +305,6 @@ std::vector<NodeId> InvertPermutation(const std::vector<NodeId>& perm) {
   return inv;
 }
 
-std::vector<NodeId> ComposePermutations(const std::vector<NodeId>& first,
-                                        const std::vector<NodeId>& second) {
-  GORDER_CHECK(first.size() == second.size());
-  std::vector<NodeId> out(first.size());
-  for (NodeId v = 0; v < first.size(); ++v) out[v] = second[first[v]];
-  return out;
-}
-
 std::vector<NodeId> IdentityPermutation(NodeId n) {
   std::vector<NodeId> p(n);
   for (NodeId v = 0; v < n; ++v) p[v] = v;

@@ -161,10 +161,6 @@ void CheckPermutation(const std::vector<NodeId>& perm, NodeId n);
 /// `result[new] = old`.
 std::vector<NodeId> InvertPermutation(const std::vector<NodeId>& perm);
 
-/// Composes permutations: result[v] = second[first[v]].
-std::vector<NodeId> ComposePermutations(const std::vector<NodeId>& first,
-                                        const std::vector<NodeId>& second);
-
 /// The identity permutation on n nodes.
 std::vector<NodeId> IdentityPermutation(NodeId n);
 

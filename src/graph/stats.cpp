@@ -22,18 +22,6 @@ GraphStats ComputeStats(const Graph& graph) {
   return s;
 }
 
-std::vector<std::uint64_t> OutDegreeHistogram(const Graph& graph) {
-  NodeId max_deg = 0;
-  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-    max_deg = std::max(max_deg, graph.OutDegree(v));
-  }
-  std::vector<std::uint64_t> hist(static_cast<std::size_t>(max_deg) + 1, 0);
-  for (NodeId v = 0; v < graph.NumNodes(); ++v) {
-    ++hist[graph.OutDegree(v)];
-  }
-  return hist;
-}
-
 double LinearArrangementCost(const Graph& graph) {
   double total = 0.0;
   for (NodeId v = 0; v < graph.NumNodes(); ++v) {

@@ -20,10 +20,6 @@ struct GraphStats {
 
 GraphStats ComputeStats(const Graph& graph);
 
-/// Histogram of out-degrees; index d holds the number of nodes with
-/// out-degree d (used by tests to check generator skew).
-std::vector<std::uint64_t> OutDegreeHistogram(const Graph& graph);
-
 /// Locality metrics of the *current numbering* — these are the objective
 /// functions the ordering methods optimise, evaluated directly:
 ///

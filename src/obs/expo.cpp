@@ -118,13 +118,6 @@ WindowedHistogram& GetWindowedHistogram(const std::string& name) {
   return *it->second;
 }
 
-WindowedHistogram* FindWindowedHistogram(const std::string& name) {
-  WindowedRegistry& r = WindowedRegistry::Get();
-  std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.histograms.find(name);
-  return it == r.histograms.end() ? nullptr : it->second;
-}
-
 std::vector<WindowedDump> DumpWindowed() {
   WindowedRegistry& r = WindowedRegistry::Get();
   std::vector<WindowedHistogram*> handles;

@@ -23,8 +23,7 @@
 ///     (tools/check_metrics.py) key on them.
 ///
 /// Same contracts as the rest of `src/obs`: `GORDER_OBS=off` turns every
-/// record into a cheap failed branch, a `GORDER_OBS_DISABLED` build
-/// compiles the macros out entirely, and nothing here ever feeds back
+/// record into a cheap failed branch, and nothing here ever feeds back
 /// into an algorithm.
 
 #include <cstdint>
@@ -114,11 +113,6 @@ class WindowedHistogram {
 /// purpose policy as GetCounter).
 WindowedHistogram& GetWindowedHistogram(const std::string& name);
 
-/// Registry probe without creation: nullptr when `name` was never
-/// registered (lets tests prove a GORDER_OBS_DISABLED TU registered
-/// nothing, mirroring FindCounter).
-WindowedHistogram* FindWindowedHistogram(const std::string& name);
-
 /// Point-in-time view of every registered windowed histogram at both
 /// standard windows, sorted by name.
 struct WindowedDump {
@@ -147,24 +141,11 @@ std::string RenderPrometheusText();
 
 }  // namespace gorder::obs
 
-/// Windowed-histogram instrumentation macros, gated exactly like the
-/// GORDER_OBS_COUNTER family: a GORDER_OBS_DISABLED build expands them
-/// to nothing, so hot loops carry zero code and no name strings.
-#if defined(GORDER_OBS_DISABLED)
-
-#define GORDER_OBS_WINDOWED(var, name) \
-  static_assert(true, "observability compiled out")
-#define GORDER_OBS_WRECORD(var, v) \
-  do {                             \
-  } while (0)
-
-#else
-
+/// Windowed-histogram instrumentation macros, the GORDER_OBS_COUNTER
+/// family's counterpart for WindowedHistogram.
 #define GORDER_OBS_WINDOWED(var, name) \
   ::gorder::obs::WindowedHistogram& var = \
       ::gorder::obs::GetWindowedHistogram(name)
 #define GORDER_OBS_WRECORD(var, v) (var).Record(v)
-
-#endif  // GORDER_OBS_DISABLED
 
 #endif  // GORDER_OBS_EXPO_H_

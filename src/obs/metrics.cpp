@@ -127,13 +127,6 @@ Histogram& GetHistogram(const std::string& name) {
   return *it->second;
 }
 
-const Counter* FindCounter(const std::string& name) {
-  Registry& r = Registry::Get();
-  std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.counters.find(name);
-  return it == r.counters.end() ? nullptr : it->second;
-}
-
 std::vector<std::uint64_t> SnapshotCounterValues() {
   Registry& r = Registry::Get();
   std::vector<Counter*> handles;

@@ -6,12 +6,10 @@
 /// Hot-path contract: an enabled `Counter::Add` is one relaxed atomic add
 /// to a shard this thread almost always owns exclusively, plus one
 /// predictable branch on the global enable flag. With `GORDER_OBS=off`
-/// in the environment the branch fails and nothing is written; with the
-/// build compiled under `GORDER_OBS_DISABLED` the instrumentation macros
-/// expand to nothing at all, so there is no code in the binary.
+/// in the environment the branch fails and nothing is written.
 ///
 /// Metrics never feed back into any algorithm: results are bit-identical
-/// whether observability is on, off, or compiled out.
+/// whether observability is on or off.
 ///
 /// Naming scheme (DESIGN.md "Observability"): `<subsystem>.<event>`,
 /// lower_snake_case, e.g. `unit_heap.increments`, `pool.chunks`,
@@ -149,9 +147,6 @@ Counter& GetCounter(const std::string& name);
 Gauge& GetGauge(const std::string& name);
 Histogram& GetHistogram(const std::string& name);
 
-/// Lookup without creation; nullptr if `name` was never registered.
-const Counter* FindCounter(const std::string& name);
-
 /// Point-in-time values of every registered counter, in registration
 /// order. Used by spans to compute per-span deltas cheaply.
 std::vector<std::uint64_t> SnapshotCounterValues();
@@ -180,31 +175,7 @@ MetricsDump DumpMetrics();
 }  // namespace gorder::obs
 
 /// Instrumentation macros. `GORDER_OBS_COUNTER` declares a namespace- or
-/// function-scope handle; the Add macros are no-ops (token-free) when the
-/// build defines GORDER_OBS_DISABLED, so hot loops carry zero code.
-#if defined(GORDER_OBS_DISABLED)
-
-#define GORDER_OBS_COUNTER(var, name) \
-  static_assert(true, "observability compiled out")
-#define GORDER_OBS_GAUGE(var, name) \
-  static_assert(true, "observability compiled out")
-#define GORDER_OBS_HISTOGRAM(var, name) \
-  static_assert(true, "observability compiled out")
-#define GORDER_OBS_ADD(var, n) \
-  do {                         \
-  } while (0)
-#define GORDER_OBS_INC(var) \
-  do {                      \
-  } while (0)
-#define GORDER_OBS_SET(var, v) \
-  do {                         \
-  } while (0)
-#define GORDER_OBS_OBSERVE(var, v) \
-  do {                             \
-  } while (0)
-
-#else
-
+/// function-scope handle; the Add macros record through it.
 #define GORDER_OBS_COUNTER(var, name) \
   ::gorder::obs::Counter& var = ::gorder::obs::GetCounter(name)
 #define GORDER_OBS_GAUGE(var, name) \
@@ -215,7 +186,5 @@ MetricsDump DumpMetrics();
 #define GORDER_OBS_INC(var) (var).Add(1)
 #define GORDER_OBS_SET(var, v) (var).Set(v)
 #define GORDER_OBS_OBSERVE(var, v) (var).Observe(v)
-
-#endif  // GORDER_OBS_DISABLED
 
 #endif  // GORDER_OBS_METRICS_H_

@@ -89,13 +89,7 @@ bool WriteChromeTrace(const std::string& path);
 
 }  // namespace gorder::obs
 
-/// Span macro: `GORDER_OBS_SPAN(span_var, name_expr);`. The name
-/// expression is not evaluated when observability is compiled out.
-#if defined(GORDER_OBS_DISABLED)
-#define GORDER_OBS_SPAN(var, ...) \
-  static_assert(true, "observability compiled out")
-#else
+/// Span macro: `GORDER_OBS_SPAN(span_var, name_expr);`.
 #define GORDER_OBS_SPAN(var, ...) ::gorder::obs::Span var(__VA_ARGS__)
-#endif
 
 #endif  // GORDER_OBS_TRACE_H_

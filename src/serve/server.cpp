@@ -43,7 +43,6 @@ GORDER_OBS_GAUGE(g_queue_depth, "serve.queue_depth");
 GORDER_OBS_COUNTER(c_slow_requests, "serve.slow_requests");
 GORDER_OBS_COUNTER(c_stats_reqs, "serve.stats_requests");
 
-#if !defined(GORDER_OBS_DISABLED)
 // Per-opcode windowed latencies (serve.req_us.<opcode>) — the live p99
 // the admin plane and gordertop read. Resolved once here, not per
 // request: the registry lookup takes a mutex.
@@ -75,7 +74,6 @@ obs::WindowedHistogram& WindowedForOpcode(Opcode op) {
   }
   return w_ping;  // unreachable: decode rejects unknown opcodes
 }
-#endif  // GORDER_OBS_DISABLED
 
 }  // namespace
 

@@ -76,6 +76,15 @@ IoResult CommitStagedFile(const std::string& tmp, const std::string& path) {
     std::filesystem::remove(tmp, ec);
     return IoResult::Error("cannot rename " + tmp + " to " + path);
   }
+  // The rename would replace whatever is at `path`: a FIFO or a device
+  // node would become a regular file. Only a regular file is replaced.
+  const auto target = std::filesystem::status(path, ec);
+  if (std::filesystem::exists(target) &&
+      !std::filesystem::is_regular_file(target)) {
+    std::filesystem::remove(tmp, ec);
+    return IoResult::Error("cannot replace " + path +
+                           ": not a regular file");
+  }
   std::filesystem::rename(tmp, path, ec);
   if (ec) {
     std::filesystem::remove(tmp, ec);

@@ -32,8 +32,10 @@ bool FlushAndSync(std::FILE* f);
 void SyncParentDir(const std::string& path);
 
 /// Renames a fully-written-and-synced staging file onto its final path
-/// and fsyncs the parent directory. On failure the staging file is
-/// removed, so no `.tmp.*` debris survives a failed commit.
+/// and fsyncs the parent directory. A target that exists and is not a
+/// regular file (after following symlinks), such as a FIFO, a device or
+/// a directory, is an error and stays as it is. On failure the staging
+/// file is removed, so no `.tmp.*` debris survives a failed commit.
 IoResult CommitStagedFile(const std::string& tmp, const std::string& path);
 
 /// Writes `bytes` of `data` to `path` atomically: stage to a

@@ -23,8 +23,8 @@ namespace {
 // `pool.worker_parks` counts a worker going idle (one park per wait on
 // the job condition variable), `pool.worker_joins` a worker picking up a
 // job. Metrics never feed back into scheduling: claiming stays a single
-// atomic fetch_add and results are bit-identical with telemetry on, off,
-// or compiled out.
+// atomic fetch_add and results are bit-identical with telemetry on or
+// off.
 GORDER_OBS_COUNTER(c_parallel_calls, "pool.parallel_calls");
 GORDER_OBS_COUNTER(c_serial_calls, "pool.serial_calls");
 GORDER_OBS_COUNTER(c_chunks, "pool.chunks");

@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "algo/algorithms.h"
 #include "compress/varint.h"
 #include "gen/datasets.h"
 #include "gen/generators.h"
@@ -114,31 +113,6 @@ TEST(CompressedGraphTest, PayloadSmallerThanCsrOnRealGraph) {
   // CSR out-neighbours alone cost 32 bits/edge.
   EXPECT_LT(cg.BitsPerEdge(), 32.0);
   EXPECT_EQ(cg.Decompress().NumEdges(), g.NumEdges());
-}
-
-TEST(PageRankOnCompressedTest, MatchesCsrPageRank) {
-  Graph g = gen::MakeDataset("epinion", 0.08);
-  auto cg = CompressedGraph::FromGraph(g);
-  auto compressed = PageRankOnCompressed(cg, 25);
-  auto reference = algo::PageRank(g, 25);
-  ASSERT_EQ(compressed.size(), reference.rank.size());
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    EXPECT_NEAR(compressed[v], reference.rank[v], 1e-12) << v;
-  }
-}
-
-TEST(PageRankOnCompressedTest, EmptyGraphSafe) {
-  CompressedGraph cg;
-  EXPECT_TRUE(PageRankOnCompressed(cg, 10).empty());
-}
-
-TEST(PageRankOnCompressedTest, MassConservedWithDanglingNodes) {
-  Graph g = Graph::FromEdges(4, {{0, 1}, {0, 2}});  // 1,2,3 dangling
-  auto cg = CompressedGraph::FromGraph(g);
-  auto rank = PageRankOnCompressed(cg, 50);
-  double mass = 0.0;
-  for (double r : rank) mass += r;
-  EXPECT_NEAR(mass, 1.0, 1e-9);
 }
 
 }  // namespace

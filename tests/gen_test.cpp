@@ -87,6 +87,46 @@ TEST(PlantedPartitionTest, IntraCommunityDominance) {
   EXPECT_GT(g.NumEdges(), 15000u);
 }
 
+TEST(ConfigurationModelTest, RealisesDegreesUpToErasure) {
+  Rng rng(3);
+  std::vector<NodeId> out = {3, 2, 1, 0, 2};
+  std::vector<NodeId> in = {1, 1, 2, 3, 1};
+  Graph g = gen::DirectedConfigurationModel(out, in, rng);
+  EXPECT_EQ(g.NumNodes(), 5u);
+  // Erased model: realised degrees never exceed requested.
+  for (NodeId v = 0; v < 5; ++v) {
+    EXPECT_LE(g.OutDegree(v), out[v]);
+    EXPECT_LE(g.InDegree(v), in[v]);
+  }
+  EXPECT_LE(g.NumEdges(), 8u);
+  EXPECT_GE(g.NumEdges(), 5u);  // most stubs survive at this density
+}
+
+TEST(PowerLawDegreesTest, BoundsAndSkew) {
+  Rng rng(4);
+  auto degrees = gen::SamplePowerLawDegrees(20000, 2.2, 2, 500, rng);
+  NodeId lo = 500, hi = 0;
+  double sum = 0;
+  for (NodeId d : degrees) {
+    lo = std::min(lo, d);
+    hi = std::max(hi, d);
+    sum += d;
+  }
+  EXPECT_EQ(lo, 2u);
+  EXPECT_GT(hi, 100u);                      // heavy tail reached
+  EXPECT_LE(hi, 500u);
+  EXPECT_LT(sum / degrees.size(), 12.0);    // mean stays small
+}
+
+TEST(PowerLawConfigurationGraphTest, BuildsSkewedGraph) {
+  Rng rng(5);
+  Graph g = gen::PowerLawConfigurationGraph(3000, 2.3, 2, 200, rng);
+  EXPECT_EQ(g.NumNodes(), 3000u);
+  EXPECT_GT(g.NumEdges(), 6000u);
+  GraphStats s = ComputeStats(g);
+  EXPECT_GT(s.max_in_degree, 50u);
+}
+
 TEST(CrawlOrderTest, ValidPermutationCoveringAllNodes) {
   Rng rng(8);
   Graph g = gen::ErdosRenyi(300, 900, rng);

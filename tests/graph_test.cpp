@@ -124,15 +124,6 @@ TEST(PermutationTest, InvertRoundTrips) {
   EXPECT_EQ(InvertPermutation(inv), perm);
 }
 
-TEST(PermutationTest, ComposeAppliesSecondAfterFirst) {
-  std::vector<NodeId> first = {1, 2, 0};
-  std::vector<NodeId> second = {2, 0, 1};
-  auto composed = ComposePermutations(first, second);
-  for (NodeId v = 0; v < 3; ++v) {
-    EXPECT_EQ(composed[v], second[first[v]]);
-  }
-}
-
 TEST(PermutationTest, IdentityIsIdentity) {
   auto id = IdentityPermutation(5);
   for (NodeId v = 0; v < 5; ++v) EXPECT_EQ(id[v], v);
@@ -180,16 +171,6 @@ TEST(StatsTest, GorderScoreUnderPermutationMatchesRelabel) {
     EXPECT_EQ(GorderScoreUnderPermutation(g, perm, w), GorderScore(h, w))
         << "window " << w;
   }
-}
-
-TEST(DegreeHistogramTest, CountsMatch) {
-  Graph g = Diamond();
-  auto hist = OutDegreeHistogram(g);
-  // Degrees: 2, 1, 1, 1.
-  ASSERT_EQ(hist.size(), 3u);
-  EXPECT_EQ(hist[0], 0u);
-  EXPECT_EQ(hist[1], 3u);
-  EXPECT_EQ(hist[2], 1u);
 }
 
 }  // namespace

@@ -127,6 +127,19 @@ TEST(BenchOptionsDeathTest, HugeDatasetNameExitsWithValidNames) {
               "unknown dataset 'rmat-huge' in --datasets\nvalid names: ");
 }
 
+// A scale the generators cannot honour is a usage error naming the
+// range, not an abort inside the generator.
+TEST(BenchOptionsDeathTest, ScaleOutOfRangeExitsWithTheRange) {
+  for (const char* scale : {"--scale=0", "--scale=nan"}) {
+    const char* argv[] = {"bench", scale};
+    EXPECT_EXIT(bench::BenchOptions::Parse(2, const_cast<char**>(argv), 1.0),
+                testing::ExitedWithCode(2),
+                "flag --scale: .* is out of range \\(0, [0-9]+] for "
+                "dataset")
+        << scale;
+  }
+}
+
 TEST(RankingTest, EmptyInputSafe) {
   auto table = RankSeries({});
   EXPECT_EQ(table.num_series, 0);

@@ -1,7 +1,6 @@
 // Tests for the observability subsystem: JSON writer escaping, sharded
-// counter sums under parallel load, span nesting/ordering, run-report
-// rendering, and the GORDER_OBS_DISABLED zero-overhead path (exercised
-// by obs_disabled_test.cpp in the same binary).
+// counter sums under parallel load, span nesting/ordering and run-report
+// rendering.
 
 #include "obs/metrics.h"
 
@@ -507,26 +506,6 @@ TEST(ReportTest, WindowsSectionCarriesSchemaMinor3) {
   const JsonValue* win = windows->Find("obs_test.report_win");
   ASSERT_NE(win, nullptr);
   EXPECT_EQ(win->Find("60s")->U64("count"), 1u);
-}
-
-}  // namespace
-}  // namespace gorder::obs
-
-// Defined in obs_disabled_test.cpp (compiled with GORDER_OBS_DISABLED).
-namespace gorder::obs_disabled_probe {
-void RunDisabledProbe();
-}
-
-namespace gorder::obs {
-namespace {
-
-TEST(DisabledBuildTest, MacrosCompileOutCompletely) {
-  obs_disabled_probe::RunDisabledProbe();
-  // The probe used GORDER_OBS_COUNTER/ADD/SPAN/WINDOWED/WRECORD under
-  // GORDER_OBS_DISABLED; if those expanded to real registrations the
-  // metrics would exist here.
-  EXPECT_EQ(FindCounter("obs_disabled_test.counter"), nullptr);
-  EXPECT_EQ(FindWindowedHistogram("obs_disabled_test.windowed"), nullptr);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 // what was saved — and nothing when the key does not match.
 
 #include <gtest/gtest.h>
+#include <sys/stat.h>
 
 #include <algorithm>
 #include <cstdio>
@@ -15,6 +16,7 @@
 #include <vector>
 
 #include "core/gorder_lib.h"
+#include "util/atomic_file.h"
 
 namespace gorder {
 namespace {
@@ -297,10 +299,23 @@ TEST(PackWriterTest, DroppedWithoutCommitLeavesNothing) {
   EXPECT_TRUE(StagingFiles(dir.path).empty());
 }
 
+// A commit replaces only a regular file: aimed at a FIFO, every writer
+// fails, the FIFO stays a FIFO and no staging file is left.
+TEST(AtomicCommitTest, FifoTargetIsRefusedAndKept) {
+  const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
+  TempFile dir(TempPath("dir"));
+  fs::create_directories(dir.path);
+  const std::string fifo = dir.path + "/fifo";
+  ASSERT_EQ(::mkfifo(fifo.c_str(), 0600), 0);
+  EXPECT_FALSE(util::WriteFileAtomic(fifo, "bytes").ok);
+  EXPECT_FALSE(WriteEdgeList(fifo, g).ok);
+  EXPECT_FALSE(WritePermutationMap(fifo, {2, 0, 1}).ok);
+  EXPECT_FALSE(store::WritePack(fifo, g).ok);
+  EXPECT_TRUE(fs::is_fifo(fifo));
+  EXPECT_TRUE(StagingFiles(dir.path).empty());
+}
+
 TEST(PackWriterTest, WriteBytesCounterCountsTheFileSize) {
-#if defined(GORDER_OBS_DISABLED)
-  GTEST_SKIP() << "observability compiled out";
-#else
   // The triangle's last section ends 12 bytes past a 64-byte boundary;
   // the counter must not round it up.
   const Graph g = Graph::FromEdges(3, {{0, 1}, {1, 2}, {2, 0}});
@@ -314,7 +329,6 @@ TEST(PackWriterTest, WriteBytesCounterCountsTheFileSize) {
   obs::SetEnabledForTest(enabled);
   EXPECT_EQ(fs::file_size(tmp.path), 396u);
   EXPECT_EQ(delta, fs::file_size(tmp.path));
-#endif
 }
 
 TEST(Crc32, KnownVectorAndStreaming) {

@@ -122,14 +122,25 @@ const gen::DatasetSpec* RequireDatasetSpec(const Flags& flags,
   return spec;
 }
 
+/// --scale for `spec`: false, after printing the accepted range, for a
+/// scale gen::CheckScale refuses (callers exit 2).
+bool ScaleFromFlags(const Flags& flags, const gen::DatasetSpec& spec,
+                    double def, double* scale) {
+  *scale = flags.GetDouble("scale", def);
+  std::string error;
+  if (gen::CheckScale(spec, *scale, &error)) return true;
+  std::fprintf(stderr, "flag --scale: %s\n", error.c_str());
+  return false;
+}
+
 /// Chunked-generation knobs shared by the streaming paths. The chunk
 /// size is part of the determinism contract (the stream is a function of
 /// (params, seed, chunk_edges)), so it is a flag, not a budget-derived
-/// value.
+/// value. It must lie in [1, 2^24].
 gen::ChunkedOptions ChunkedFromFlags(const Flags& flags) {
   gen::ChunkedOptions options;
-  options.chunk_edges =
-      static_cast<std::size_t>(flags.GetInt("chunk-edges", 1u << 18));
+  options.chunk_edges = static_cast<std::size_t>(
+      flags.GetIntInRange("chunk-edges", 1u << 18, 1, 1 << 24));
   return options;
 }
 
@@ -159,16 +170,11 @@ void ReportExtBuild(const extmem::ExtBuildStats& s) {
 }
 
 int WritePermMap(const std::string& map_path, const std::vector<NodeId>& perm) {
-  std::FILE* f = std::fopen(map_path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "error: cannot write %s\n", map_path.c_str());
+  IoResult r = WritePermutationMap(map_path, perm);
+  if (!r.ok) {
+    std::fprintf(stderr, "error: %s\n", r.error.c_str());
     return 1;
   }
-  std::fprintf(f, "# old_id new_id\n");
-  for (NodeId v = 0; v < perm.size(); ++v) {
-    std::fprintf(f, "%u %u\n", v, perm[v]);
-  }
-  std::fclose(f);
   return 0;
 }
 
@@ -334,7 +340,7 @@ int CmdScore(const Flags& flags) {
 /// external build pipeline. Peak RAM is the extmem budget plus the
 /// chunk window — never the edge list, which only ever exists as an
 /// ordered sequence of per-chunk buffers in flight.
-int StreamHugePack(const Flags& flags, const std::string& name,
+int StreamHugePack(const Flags& flags, const gen::DatasetSpec& spec,
                    const std::string& out) {
   if (!EndsWith(out, ".gpack")) {
     std::fprintf(stderr,
@@ -343,7 +349,8 @@ int StreamHugePack(const Flags& flags, const std::string& name,
                  out.c_str());
     return 2;
   }
-  const double scale = flags.GetDouble("scale", 1.0);
+  double scale;
+  if (!ScaleFromFlags(flags, spec, 1.0, &scale)) return 2;
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const gen::ChunkedOptions chunked = ChunkedFromFlags(flags);
   Timer timer;
@@ -351,7 +358,7 @@ int StreamHugePack(const Flags& flags, const std::string& name,
   NodeId num_nodes = 0;
   IoResult r = extmem::BuildPackFromEdgeStream(
       [&](const std::function<IoResult(const Edge*, std::size_t)>& sink) {
-        return gen::StreamDataset(name, scale, seed, chunked, sink,
+        return gen::StreamDataset(spec.name, scale, seed, chunked, sink,
                                   &num_nodes);
       },
       /*reserve_nodes=*/0, out, ExtmemFromFlags(flags), &stats);
@@ -361,7 +368,7 @@ int StreamHugePack(const Flags& flags, const std::string& name,
   }
   ReportExtBuild(stats);
   GORDER_LOG_INFO("%s: %.3fs (%.1f Medges/s attempts, %d threads)\n",
-                  name.c_str(), timer.Seconds(),
+                  spec.name.c_str(), timer.Seconds(),
                   static_cast<double>(stats.edges_ingested) / 1e6 /
                       std::max(timer.Seconds(), 1e-12),
                   NumThreads());
@@ -374,9 +381,10 @@ int CmdGen(const Flags& flags) {
   const gen::DatasetSpec* spec = RequireDatasetSpec(flags, name);
   if (spec == nullptr) return 2;
   if (spec->tier == gen::DatasetTier::kHuge) {
-    return StreamHugePack(flags, name, flags.GetString("out", ""));
+    return StreamHugePack(flags, *spec, flags.GetString("out", ""));
   }
-  double scale = flags.GetDouble("scale", 0.25);
+  double scale;
+  if (!ScaleFromFlags(flags, *spec, 0.25, &scale)) return 2;
   auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   Graph g = gen::MakeDataset(name, scale, seed);
   GORDER_LOG_INFO("generated %s: n=%u m=%llu\n", name.c_str(),
@@ -401,8 +409,9 @@ int PackRmatStream(const Flags& flags, const std::string& out) {
     return 2;
   }
   gen::RmatParams rp;
-  rp.scale = static_cast<int>(flags.GetInt("rmat-scale", 20));
-  rp.num_edges = static_cast<EdgeId>(flags.GetInt("rmat-edge-factor", 16))
+  rp.scale = static_cast<int>(flags.GetIntInRange("rmat-scale", 20, 1, 30));
+  rp.num_edges = static_cast<EdgeId>(flags.GetIntInRange(
+                     "rmat-edge-factor", 16, 1, 1 << 20))
                  << rp.scale;
   const auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
   const extmem::ExtmemOptions options = ExtmemFromFlags(flags);
@@ -471,9 +480,10 @@ int CmdPack(const Flags& flags) {
     const gen::DatasetSpec* spec = RequireDatasetSpec(flags, dataset);
     if (spec == nullptr) return 2;
     if (spec->tier == gen::DatasetTier::kHuge) {
-      return StreamHugePack(flags, dataset, out);
+      return StreamHugePack(flags, *spec, out);
     }
-    double scale = flags.GetDouble("scale", 0.25);
+    double scale;
+    if (!ScaleFromFlags(flags, *spec, 0.25, &scale)) return 2;
     auto seed = static_cast<std::uint64_t>(flags.GetInt("seed", 42));
     std::string store_dir = flags.GetString("store-dir", "");
     if (out.empty()) {
@@ -580,6 +590,11 @@ int CmdConvert(const Flags& flags) {
 /// at different --threads can be diffed for the bit-identity contract)
 /// and the median wall time.
 int CmdAlgo(const Flags& flags) {
+  constexpr std::int64_t kMaxInt = std::numeric_limits<int>::max();
+  const int repeats =
+      static_cast<int>(flags.GetIntInRange("repeats", 3, 1, kMaxInt));
+  const int iters =
+      static_cast<int>(flags.GetIntInRange("iters", 20, 1, kMaxInt));
   Graph g;
   if (LoadGraph(flags.GetString("in", ""), &g) != 0) return 1;
   if (g.NumNodes() == 0) {
@@ -587,16 +602,10 @@ int CmdAlgo(const Flags& flags) {
     return 1;
   }
   const std::string name = flags.GetString("algo", "pr");
-  const int repeats = static_cast<int>(flags.GetInt("repeats", 3));
-  const int iters = static_cast<int>(flags.GetInt("iters", 20));
   NodeId src = 0;
   if (flags.Has("source")) {
-    src = static_cast<NodeId>(flags.GetInt("source", 0));
-    if (src >= g.NumNodes()) {
-      std::fprintf(stderr, "error: --source=%u out of range (n=%u)\n", src,
-                   g.NumNodes());
-      return 1;
-    }
+    src = static_cast<NodeId>(
+        flags.GetIntInRange("source", 0, 0, g.NumNodes() - 1));
   } else {
     for (NodeId v = 1; v < g.NumNodes(); ++v) {
       if (g.OutDegree(v) > g.OutDegree(src)) src = v;
